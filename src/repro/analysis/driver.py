@@ -1,4 +1,4 @@
-"""FlexLint run orchestration: cache, parallelism, baseline.
+"""FlexLint run orchestration: cache, baseline.
 
 The per-file pass (syntax rules + flow rules) is pure: its findings
 depend only on the file's bytes and the :class:`LintConfig`.  That
@@ -6,7 +6,8 @@ makes it cacheable by content hash — the cache file maps ``path ->
 {hash, findings, index}`` under an environment key derived from the
 analysis version and config, so a config or rule change invalidates
 everything at once while an ordinary edit re-lints only the touched
-files.  Cache misses are parsed on a thread pool (``--jobs``).
+files.  Cache misses are parsed one after another on the calling
+thread: ``ast.parse`` is not safe to run on several threads at once.
 
 The cross-file pass (FXL009) is recomputed every run from the per-file
 :class:`~repro.analysis.project.ModuleIndex` entries, which are JSON in
@@ -25,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,19 +56,17 @@ BASELINE_VERSION = 1
 
 @dataclass
 class RunStats:
-    """Cache/parallelism accounting for one run."""
+    """Cache accounting for one run."""
 
     files: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    jobs: int = 1
 
     def to_dict(self) -> dict:
         return {
             "files": self.files,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "jobs": self.jobs,
         }
 
 
@@ -236,18 +234,16 @@ def _analyze_one(
 def run(
     paths: Sequence[str],
     config: Optional[LintConfig] = None,
-    jobs: Optional[int] = None,
     cache_path: Optional[str] = None,
     baseline_path: Optional[str] = None,
     update_baseline: bool = False,
 ) -> RunResult:
-    """Lint ``paths`` with caching, parallel parsing, the cross-file
+    """Lint ``paths`` with caching, the cross-file
     pass, and baseline suppression applied — the CLI's engine."""
     cfg = config or LintConfig()
     env = _env_key(cfg)
     files = iter_py_files(paths)
-    jobs = jobs or min(8, os.cpu_count() or 1)
-    stats = RunStats(files=len(files), jobs=jobs)
+    stats = RunStats(files=len(files))
 
     cache = _load_cache(cache_path, env)
     new_cache: Dict[str, dict] = {}
@@ -280,25 +276,16 @@ def run(
             stats.cache_misses += 1
             misses.append((path, digest, source))
 
-    if misses:
-        def work(item: Tuple[str, str, str]):
-            path, digest, source = item
-            return path, digest, _analyze_one(path, source, cfg)
-
-        if jobs > 1 and len(misses) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(work, misses))
-        else:
-            results = [work(item) for item in misses]
-        for path, digest, (file_findings, index) in results:
-            findings.extend(file_findings)
-            if index is not None:
-                indexes[path] = index
-            new_cache[_norm(path)] = {
-                "hash": digest,
-                "findings": [f.to_dict() for f in file_findings],
-                "index": index.to_dict() if index is not None else None,
-            }
+    for path, digest, source in misses:
+        file_findings, index = _analyze_one(path, source, cfg)
+        findings.extend(file_findings)
+        if index is not None:
+            indexes[path] = index
+        new_cache[_norm(path)] = {
+            "hash": digest,
+            "findings": [f.to_dict() for f in file_findings],
+            "index": index.to_dict() if index is not None else None,
+        }
 
     # Cross-file pass over the assembled index (cheap; never cached).
     from repro.analysis.flowrules import check_dispatch

@@ -282,6 +282,11 @@ class BlockPredicate:
                 return False
         return True
 
+    def prunes(self, var: str) -> bool:
+        """Can :meth:`might_match` ever drop a block of ``var``?  Only a
+        ``range`` term on it can; other variables are never pruned."""
+        return any(t["kind"] == "range" and t["var"] == var for t in self.terms)
+
     def spec(self) -> str:
         return json.dumps(self.terms, sort_keys=True)
 

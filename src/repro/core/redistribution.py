@@ -30,8 +30,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.adios.api import AdiosError
 from repro.adios.selection import BoundingBox, intersect
 from repro.core.monitoring import PerfMonitor
+from repro.core.plugins import PluginManager, PluginSide
+from repro.obs.tracing import CURRENT
 
 
 class CachingOption(Enum):
@@ -134,9 +137,9 @@ class CompiledPlan:
     those triples as pure numpy slice assignments — no box intersection,
     no slice arithmetic, no per-block bookkeeping on the hot path.
 
-    Coverage of each reader box is also detected at compile time so fully
+    Coverage of each reader box is detected once, on first use, so fully
     covered targets can be allocated with :func:`numpy.empty` instead of
-    :func:`numpy.full`.
+    :func:`numpy.full` (a fused plan never needs it).
     """
 
     __slots__ = (
@@ -144,7 +147,7 @@ class CompiledPlan:
         "writer_boxes",
         "reader_boxes",
         "assignments",
-        "covered",
+        "_covered",
         "elements_moved",
     )
 
@@ -165,17 +168,21 @@ class CompiledPlan:
             dst = pair.overlap.slices(relative_to=rbox)
             self.assignments[pair.reader].append((pair.writer, src, dst))
             self.elements_moved += pair.overlap.size
-        # A reader box is "covered" when the union of its incoming
-        # overlaps fills it entirely; detected once with a boolean mask.
-        self.covered: list[bool] = []
-        for r, rbox in enumerate(self.reader_boxes):
-            if not self.assignments[r]:
-                self.covered.append(rbox.size == 0)
-                continue
-            mask = np.zeros(rbox.count, dtype=bool)
-            for _, _, dst in self.assignments[r]:
-                mask[dst] = True
-            self.covered.append(bool(mask.all()))
+        self._covered: Optional[list[bool]] = None
+
+    @property
+    def covered(self) -> list[bool]:
+        """Per reader box: does the union of its incoming overlaps fill
+        it entirely?  Detected once with a boolean mask."""
+        if self._covered is None:
+            covered = []
+            for r, rbox in enumerate(self.reader_boxes):
+                mask = np.zeros(rbox.count, dtype=bool)
+                for _, _, dst in self.assignments[r]:
+                    mask[dst] = True
+                covered.append(bool(mask.all()))
+            self._covered = covered
+        return self._covered
 
     def _coerce_blocks(
         self,
@@ -289,41 +296,52 @@ class FusedPlan:
     Fusion is legal when the reader's destination slices tile axis 0
     contiguously with full trailing dimensions (``fusable``) — then
     per-block row operations concatenated in row order are byte-identical
-    to the whole-array interpreted pass.  Anything else falls back.
+    to the whole-array interpreted pass.  A ``gapped`` plan (rows
+    missing, otherwise the same shape) fuses only for pruned reads; see
+    :func:`execute_read`.  Anything else falls back.
     """
 
-    __slots__ = ("compiled", "chain", "fusable", "_order")
+    __slots__ = ("compiled", "chain", "fusable", "gapped", "_order")
 
     def __init__(self, compiled: CompiledPlan, chain) -> None:
         self.compiled = compiled
         self.chain = chain
-        self._order: list[tuple[int, int, int, tuple]] = []
-        self.fusable = self._analyze()
+        self._order, self.fusable, self.gapped = self._analyze()
 
-    def _analyze(self) -> bool:
-        if len(self.compiled.reader_boxes) != 1 or not self.compiled.covered[0]:
-            return False
-        rbox = self.compiled.reader_boxes[0]
-        count = tuple(rbox.count)
+    def _analyze(self) -> tuple[list, bool, bool]:
+        """Classify the single reader's incoming row spans: returns the
+        spans in row order and the ``(fusable, gapped)`` flags.
+
+        Both results need unit-step rows, full trailing dimensions and
+        non-overlapping spans (with overlap, overwrite order would
+        matter).  Spans that tile the reader box make the plan
+        ``fusable``; spans that leave rows uncovered make it ``gapped``
+        — sound to fuse only when the missing rows are ones the chain
+        provably drops (a pruned variable), which the caller decides.
+        """
+        unfusable: tuple[list, bool, bool] = ([], False, False)
+        if len(self.compiled.reader_boxes) != 1:
+            return unfusable
+        count = tuple(self.compiled.reader_boxes[0].count)
         spans = []
         for w, src, dst in self.compiled.assignments[0]:
             first = dst[0]
             if first.step not in (None, 1):
-                return False
+                return unfusable
             for d, s in enumerate(dst[1:], start=1):
                 if (s.start or 0) != 0 or s.stop != count[d] or s.step not in (None, 1):
-                    return False
+                    return unfusable
             spans.append((first.start or 0, first.stop, w, src, dst))
         spans.sort(key=lambda t: (t[0], t[1]))
         row = 0
+        gap = False
         for a, b, _, _, _ in spans:
-            if a != row:  # gap or overlap: overwrite order would matter
-                return False
+            if a < row:
+                return unfusable  # overlap
+            gap = gap or a > row
             row = b
-        if row != count[0]:
-            return False
-        self._order = spans
-        return True
+        gap = gap or row != count[0]
+        return spans, not gap, gap
 
     def can_execute_into(self, name: str) -> bool:
         """In-place scatter keeps shape, so only filter-free chains."""
@@ -343,8 +361,8 @@ class FusedPlan:
         order (one allocation, exactly the final size); a filter-free
         chain writes transforms straight into the destination buffer.
         """
-        if not self.fusable:
-            raise ValueError("plan is not fusable; use CompiledPlan.execute")
+        if not (self.fusable or self.gapped):
+            raise ValueError("plan does not row-tile; use CompiledPlan.execute")
         blocks, dtype = self.compiled._coerce_blocks(writer_blocks, dtype, check)
         rbox = self.compiled.reader_boxes[0]
         if not self.chain.has_filter(name):
@@ -509,6 +527,117 @@ class PlanCache:
 global_plan_cache = PlanCache()
 
 
+def _read_plan(boxes, target, gshape, chain, cache, monitor):
+    """The (plain or chain-fused) plan of one read, from ``cache`` when
+    the stream keeps one, else compiled afresh."""
+    if cache is None:
+        plan = CompiledPlan(compute_plan(boxes, [target]))
+        return FusedPlan(plan, chain) if chain is not None else plan
+    plan, hit = cache.get(boxes, [target], gshape, chain=chain)
+    monitor.metrics.counter(
+        "dataplane.plan_cache.hits" if hit else "dataplane.plan_cache.misses"
+    ).inc()
+    return plan
+
+
+def _check_out(name: str, out: np.ndarray, shape) -> None:
+    if tuple(out.shape) != tuple(shape):
+        raise AdiosError(
+            f"read_into({name!r}): out shape {tuple(out.shape)} != {tuple(shape)}"
+        )
+
+
+def execute_read(
+    name: str,
+    blocks: Sequence[tuple[BoundingBox, np.ndarray]],
+    gshape: Sequence[int],
+    dtype,
+    target: BoundingBox,
+    *,
+    plugins: PluginManager,
+    chain,
+    cache: Optional[PlanCache],
+    monitor: PerfMonitor,
+    out: Optional[np.ndarray] = None,
+    pruned: bool = False,
+    parent=CURRENT,
+    step: Optional[int] = None,
+    handshake: Optional[Callable[[], None]] = None,
+) -> np.ndarray:
+    """One global-array read of a stream step — the read engine behind
+    both stream planes.
+
+    ``blocks`` are the step's ``(box, data)`` writer blocks of ``name``,
+    ``target`` the resolved selection.  The cached MxN plan runs with
+    the compiled reader ``chain`` fused in when the plan row-tiles the
+    target and supports ``name``; otherwise it scatters and ``plugins``
+    run interpreted.
+
+    ``pruned`` says the transport may have dropped blocks of ``name``
+    that the chain provably empties (predicate pushdown): such a read
+    must fuse — then a gapped plan is sound, the missing rows yield
+    nothing — or it raises :class:`~repro.adios.api.AdiosError` rather
+    than fill them.  With ``out``, a plain scatter or shape-keeping
+    fused chain writes straight into it, and any other result is copied
+    in (``out`` must match its shape).  ``handshake`` runs inside the
+    ``read`` span as its ``redistribute`` stage.
+    """
+    if out is not None and out.dtype != dtype:
+        raise AdiosError(f"read_into({name!r}): out dtype {out.dtype} != {dtype}")
+    if chain is not None and not chain.supports(name):
+        chain = None
+    datas = [d for _, d in blocks]
+    with monitor.span("read", name, parent=parent, step=step):
+        if handshake is not None:
+            with monitor.span("redistribute", name, writers=len(blocks)):
+                handshake()
+        plan = None
+        if blocks:
+            plan = _read_plan([b for b, _ in blocks], target, gshape, chain, cache, monitor)
+        fused = isinstance(plan, FusedPlan) and (
+            plan.fusable or (pruned and plan.gapped and chain.has_filter(name))
+        )
+        if pruned and not fused:
+            raise AdiosError(
+                f"pushdown is active but the blocks of {name!r} do not "
+                f"row-tile the selection; re-open without pushdown for "
+                f"this access pattern"
+            )
+        if fused:
+            with monitor.span("transport", name, fused=True, chain=chain.chain_hash) as tspan:
+                if out is not None and plan.can_execute_into(name):
+                    _check_out(name, out, target.count)
+                    result = plan.execute_into(datas, name, out, check=False, monitor=monitor)
+                else:
+                    result = plan.execute(datas, name, dtype=dtype, check=False, monitor=monitor)
+                tspan.add_bytes(int(result.nbytes))
+            plugins.count_fused_read()
+        else:
+            compiled = plan.compiled if isinstance(plan, FusedPlan) else plan
+            interpret = plugins.has_side(PluginSide.READER)
+            with monitor.span("transport", name) as tspan:
+                if compiled is None:
+                    result = np.zeros(target.count, dtype=dtype)
+                elif out is not None and not interpret:
+                    _check_out(name, out, target.count)
+                    result = compiled.execute_into(datas, [out], fill=0, check=False)[0]
+                else:
+                    result = compiled.execute(datas, dtype=dtype, check=False)[0]
+                tspan.add_bytes(int(result.nbytes))
+            if interpret:
+                plugins.count_interpreted_read()
+                record = plugins.apply_side(PluginSide.READER, {name: result})
+                result = np.asarray(record[name])
+        if out is not None and result is not out:
+            _check_out(name, out, result.shape)
+            out[...] = result
+            result = out
+    monitor.record(
+        "stream_read", name, start=0.0, duration=0.0, nbytes=int(result.nbytes)
+    )
+    return result
+
+
 @dataclass(frozen=True)
 class HandshakeCost:
     """Control-plane cost of establishing one exchange."""
@@ -553,7 +682,8 @@ class RedistributionEngine:
         #: Whether each side's gathered distribution is already cached.
         self._local_cached = False
         self._peer_cached = False
-        self.handshakes_performed: list[HandshakeCost] = []
+        #: Cost of the most recent :meth:`handshake` (``None`` before one).
+        self.last_handshake: Optional[HandshakeCost] = None
 
     def _compile(self) -> CompiledPlan:
         if self.plan_cache is not None:
@@ -585,7 +715,7 @@ class RedistributionEngine:
         total = HandshakeCost(0, 0, ())
         for _ in range(rounds):
             total = total + self._one_round()
-        self.handshakes_performed.append(total)
+        self.last_handshake = total
         return total
 
     def _one_round(self) -> HandshakeCost:

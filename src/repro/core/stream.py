@@ -48,7 +48,9 @@ from repro.adios.api import (
 )
 from repro.adios.config import MethodSpec
 from repro.adios.model import Group, ProcessGroupData, WrittenVar
-from repro.adios.selection import BoundingBox, assemble, intersect, resolve_selection
+from repro.adios.selection import BoundingBox, resolve_selection
+# Unused here; perfbench/layers.py times reads by patching this name.
+from repro.adios.selection import assemble  # noqa: F401
 from repro.analysis import sanitize
 from repro.core.directory import CoordinatorInfo, DirectoryError, DirectoryServer
 from repro.core.hints import (
@@ -81,13 +83,13 @@ from repro.core.hints import (
 )
 from repro.core.redistribution import (
     CachingOption,
-    CompiledPlan,
-    FusedPlan,
     PlanCache,
     RedistributionEngine,
-    compute_plan,
+    execute_read,
     global_plan_cache,
 )
+# Unused here; perfbench/layers.py times handshakes by patching this name.
+from repro.core.redistribution import compute_plan  # noqa: F401
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import (
     CodeletError,
@@ -1122,7 +1124,8 @@ class FlexpathReadHandle(ReadHandle):
         # engine carries the caching state the XML hints select.
         self._hs_engines: dict[str, RedistributionEngine] = {}
         self._hs_boxes: dict[str, tuple] = {}
-        self._hs_paid_steps: set[int] = set()
+        #: Last step whose batched handshake round is paid.
+        self._hs_paid_step: Optional[int] = None
         self._local_plan_cache: Optional[PlanCache] = None
         # Chain hash last pushed to the directory (predicate pushdown).
         self._registered_pred_hash: Optional[str] = None
@@ -1167,19 +1170,17 @@ class FlexpathReadHandle(ReadHandle):
             return self._local_plan_cache
         return None
 
-    def _reader_chain(self, name: str):
-        """The compiled reader-side chain when fusion may engage for
-        reads of ``name`` — else ``None`` (interpreted fallback).  Also
-        the hook where pushdown predicates reach the directory."""
+    def _reader_chain(self):
+        """The compiled reader-side chain when the ``fused`` hint allows
+        fusion — else ``None`` (interpreted fallback).  Also the hook
+        where pushdown predicates reach the directory."""
         state = self._state
         if not state.plugins.has_side(PluginSide.READER):
             return None
         chain = state.plugins.compiled_chain(PluginSide.READER)
         if state.hints.pushdown:
             self._maybe_register_predicate(chain)
-        if chain is None or not state.hints.fused or not chain.supports(name):
-            return None
-        return chain
+        return chain if state.hints.fused else None
 
     def _maybe_register_predicate(self, chain) -> None:
         """Publish the chain's block predicate at the directory so the
@@ -1201,22 +1202,20 @@ class FlexpathReadHandle(ReadHandle):
             return
         self._registered_pred_hash = chain_hash
 
-    def _fused_plan(self, boxes, target, gshape, chain, cache):
-        """A fusable :class:`FusedPlan` for this read, or ``None``.
-
-        Cached plans key on the chain hash (geometry reused across
-        chains); NO_CACHING compiles afresh, mirroring the plain path.
-        """
-        mon = self._state.monitor
-        if cache is not None:
-            fplan, hit = cache.get(boxes, [target], gshape, chain=chain)
-            mon.metrics.counter(
-                "dataplane.plan_cache.hits" if hit
-                else "dataplane.plan_cache.misses"
-            ).inc()
-        else:
-            fplan = FusedPlan(CompiledPlan(compute_plan(boxes, [target])), chain)
-        return fplan if fplan.fusable else None
+    def _blocks(self, name: str):
+        """The current step, plus its ``(box, data)`` blocks of global
+        array ``name`` with the array's global shape and dtype."""
+        step = self._step()
+        wvs = [pg.variables[name] for pg in step.groups.values() if name in pg.variables]
+        if not wvs:
+            raise VariableNotFound(f"no variable {name!r} at step {self._cursor}")
+        gshapes = [wv.global_shape for wv in wvs if wv.global_shape is not None]
+        if not gshapes:
+            raise StreamError(
+                f"variable {name!r} is not a global array; use read_block()"
+            )
+        blocks = [(wv.box, wv.data) for wv in wvs if wv.box is not None]
+        return step, blocks, gshapes[-1], wvs[-1].data.dtype
 
     def read_block(self, name: str, writer_rank: int) -> np.ndarray:
         step = self._step()
@@ -1243,171 +1242,32 @@ class FlexpathReadHandle(ReadHandle):
         return np.asarray(record[name])
 
     def read(self, name, *, start=None, count=None, selection=None) -> np.ndarray:
-        start, count = resolve_read_args(selection, start, count)
-        step = self._step()
-        blocks = []
-        gshape = None
-        dtype = None
-        for pg in step.groups.values():
-            wv = pg.variables.get(name)
-            if wv is None:
-                continue
-            dtype = wv.data.dtype
-            if wv.global_shape is not None:
-                gshape = wv.global_shape
-            if wv.box is not None:
-                blocks.append((wv.box, wv.data))
-        if dtype is None:
-            raise VariableNotFound(f"no variable {name!r} at step {self._cursor}")
-        if gshape is None:
-            raise StreamError(
-                f"variable {name!r} is not a global array; use read_block()"
-            )
-        target = resolve_selection(start, count, gshape)
-        mon = self._state.monitor
-        cache = self._plan_cache()
-        plugins = self._state.plugins
-        chain = self._reader_chain(name)
-        with mon.span("read", name, parent=step.trace_ctx, step=self._cursor):
-            with mon.span("redistribute", name, writers=len(blocks)):
-                self._account_handshake(name, gshape, [b for b, _ in blocks])
-            fplan = (
-                self._fused_plan([b for b, _ in blocks], target, gshape, chain, cache)
-                if chain is not None and blocks else None
-            )
-            if fplan is not None:
-                # Single pass: the chain runs while wire spans scatter —
-                # no materialized intermediate array.
-                with mon.span(
-                    "transport", name, fused=True, chain=chain.chain_hash
-                ) as tspan:
-                    result = fplan.execute(
-                        [d for _, d in blocks], name,
-                        dtype=dtype, check=False, monitor=mon,
-                    )
-                    tspan.add_bytes(int(result.nbytes))
-                plugins.count_fused_read()
-            else:
-                with mon.span("transport", name) as tspan:
-                    if cache is not None and blocks:
-                        cplan, hit = cache.get([b for b, _ in blocks], [target], gshape)
-                        mon.metrics.counter(
-                            "dataplane.plan_cache.hits" if hit
-                            else "dataplane.plan_cache.misses"
-                        ).inc()
-                        out = cplan.execute(
-                            [d for _, d in blocks], dtype=dtype, check=False
-                        )[0]
-                    else:
-                        out = assemble(
-                            target,
-                            ((b, d) for b, d in blocks if intersect(target, b) is not None),
-                            dtype=dtype,
-                        )
-                    tspan.add_bytes(int(out.nbytes))
-                if plugins.has_side(PluginSide.READER):
-                    plugins.count_interpreted_read()
-                    record = plugins.apply_side(PluginSide.READER, {name: out})
-                    result = np.asarray(record[name])
-                else:
-                    result = out
-        mon.record(
-            "stream_read", name, start=0.0, duration=0.0, nbytes=int(result.nbytes)
-        )
-        return result
+        return self._read(name, None, start, count, selection)
 
     def read_into(
         self, name, out: np.ndarray, *, start=None, count=None, selection=None
     ) -> np.ndarray:
-        """Like :meth:`read`, but scatter the selection straight into the
-        preallocated ``out`` array — the steady-state zero-allocation
-        read path (incoming spans land in the reader's own buffer, no
-        per-step ``np.empty``).  ``out`` must match the selection's shape
-        and the variable's dtype; returns ``out``.
+        """Like :meth:`read`, but land the selection in the preallocated
+        ``out`` array — the steady-state zero-allocation read path
+        (incoming spans scatter into the reader's own buffer, no per-step
+        ``np.empty``).  ``out`` must match the result's shape and the
+        variable's dtype; returns ``out``.
         """
+        return self._read(name, out, start, count, selection)
+
+    def _read(self, name, out, start, count, selection) -> np.ndarray:
         start, count = resolve_read_args(selection, start, count)
-        step = self._step()
-        blocks = []
-        gshape = None
-        dtype = None
-        for pg in step.groups.values():
-            wv = pg.variables.get(name)
-            if wv is None:
-                continue
-            dtype = wv.data.dtype
-            if wv.global_shape is not None:
-                gshape = wv.global_shape
-            if wv.box is not None:
-                blocks.append((wv.box, wv.data))
-        if dtype is None:
-            raise VariableNotFound(f"no variable {name!r} at step {self._cursor}")
-        if gshape is None:
-            raise StreamError(
-                f"variable {name!r} is not a global array; use read_block()"
-            )
-        target = resolve_selection(start, count, gshape)
-        if tuple(out.shape) != tuple(target.count):
-            raise ValueError(
-                f"out shape {tuple(out.shape)} != selection count {tuple(target.count)}"
-            )
-        if out.dtype != dtype:
-            raise ValueError(f"out dtype {out.dtype} != variable dtype {dtype}")
-        mon = self._state.monitor
-        cache = self._plan_cache()
-        plugins = self._state.plugins
-        chain = self._reader_chain(name)
-        with mon.span("read", name, parent=step.trace_ctx, step=self._cursor):
-            with mon.span("redistribute", name, writers=len(blocks)):
-                self._account_handshake(name, gshape, [b for b, _ in blocks])
-            fplan = (
-                self._fused_plan([b for b, _ in blocks], target, gshape, chain, cache)
-                if chain is not None and blocks else None
-            )
-            if fplan is not None and not fplan.can_execute_into(name):
-                fplan = None  # a filtering chain changes the shape
-            if fplan is not None:
-                with mon.span(
-                    "transport", name, fused=True, chain=chain.chain_hash
-                ) as tspan:
-                    fplan.execute_into(
-                        [d for _, d in blocks], name, out,
-                        check=False, monitor=mon,
-                    )
-                    tspan.add_bytes(int(out.nbytes))
-                plugins.count_fused_read()
-                mon.record(
-                    "stream_read", name, start=0.0, duration=0.0,
-                    nbytes=int(out.nbytes),
-                )
-                return out
-            with mon.span("transport", name) as tspan:
-                if cache is not None and blocks:
-                    cplan, hit = cache.get([b for b, _ in blocks], [target], gshape)
-                    mon.metrics.counter(
-                        "dataplane.plan_cache.hits" if hit
-                        else "dataplane.plan_cache.misses"
-                    ).inc()
-                    cplan.execute_into([d for _, d in blocks], [out], check=False)
-                else:
-                    assembled = assemble(
-                        target,
-                        ((b, d) for b, d in blocks if intersect(target, b) is not None),
-                        dtype=dtype,
-                    )
-                    out[...] = assembled
-                tspan.add_bytes(int(out.nbytes))
-            if plugins.has_side(PluginSide.READER):
-                # Interpreted pass + copy-back only when a reader-side
-                # chain is actually installed.
-                plugins.count_interpreted_read()
-                record = plugins.apply_side(PluginSide.READER, {name: out})
-                result = np.asarray(record[name])
-                if result is not out:
-                    out[...] = result  # a reader-side plugin transformed the data
-        mon.record(
-            "stream_read", name, start=0.0, duration=0.0, nbytes=int(out.nbytes)
+        step, blocks, gshape, dtype = self._blocks(name)
+        state = self._state
+        return execute_read(
+            name, blocks, gshape, dtype, resolve_selection(start, count, gshape),
+            plugins=state.plugins, chain=self._reader_chain(),
+            cache=self._plan_cache(), monitor=state.monitor, out=out,
+            parent=step.trace_ctx, step=self._cursor,
+            handshake=lambda: self._account_handshake(
+                name, gshape, [b for b, _ in blocks]
+            ),
         )
-        return out
 
     def read_all(
         self, names=None, *, start=None, count=None, selection=None
@@ -1435,21 +1295,10 @@ class FlexpathReadHandle(ReadHandle):
         if self._state.hints.batching:
             # Pay the aggregated round up-front so the per-variable reads
             # of this step ride on it.
-            first = names[0]
-            gshape = None
-            boxes = []
-            for pg in step.groups.values():
-                wv = pg.variables.get(first)
-                if wv is None:
-                    continue
-                if wv.global_shape is not None:
-                    gshape = wv.global_shape
-                if wv.box is not None:
-                    boxes.append(wv.box)
-            if gshape is not None:
-                self._account_handshake(
-                    first, gshape, boxes, num_variables=len(names)
-                )
+            _, blocks, gshape, _ = self._blocks(names[0])
+            self._account_handshake(
+                names[0], gshape, [b for b, _ in blocks], num_variables=len(names)
+            )
         return {
             n: self.read(n, start=start, count=count, selection=selection)
             for n in names
@@ -1480,10 +1329,10 @@ class FlexpathReadHandle(ReadHandle):
             # Distribution changed (e.g. particle movement): caches drop.
             eng.update_writer_boxes(writer_boxes)
             self._hs_boxes[name] = boxes_key
-        if hints.batching and self._cursor in self._hs_paid_steps:
+        if hints.batching and self._hs_paid_step == self._cursor:
             return  # aggregated into this step's earlier round
         cost = eng.handshake(num_variables)
-        self._hs_paid_steps.add(self._cursor)
+        self._hs_paid_step = self._cursor
         mon = self._state.monitor
         mon.record(
             "handshake", name, start=0.0, duration=0.0,

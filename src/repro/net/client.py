@@ -56,15 +56,18 @@ from repro.adios.api import (
     WriteHandle,
     resolve_read_args,
 )
-from repro.adios.selection import (
-    BoundingBox,
-    assemble,
-    intersect,
-    resolve_selection,
-)
+from repro.adios.selection import BoundingBox, resolve_selection
+# Unused here; perfbench/layers.py times reads by patching this name.
+from repro.adios.selection import assemble  # noqa: F401
 from repro.core.directory import admission_exception
 from repro.core.monitoring import PerfMonitor
-from repro.core.plugins import PluginManager, PluginSide
+from repro.core.plugins import (
+    BlockPredicate,
+    PluginManager,
+    PluginSide,
+    parse_predicate,
+)
+from repro.core.redistribution import PlanCache, execute_read
 from repro.core.resilience import RetryPolicy, retry_call
 from repro.net.protocol import (
     Frame,
@@ -768,9 +771,10 @@ class NetReadHandle(ReadHandle):
     ``begin_step`` polls the broker (NOT_READY maps to
     :attr:`~repro.adios.api.StepStatus.NotReady`, EOS to
     :attr:`~repro.adios.api.StepStatus.EndOfStream`); global-array
-    reads reassemble the writers' blocks with the same selection
-    machinery the in-process reader uses, so MxN redistribution works
-    across the network hop unchanged.
+    reads run the fetched blocks through the same read engine as the
+    in-process reader (:func:`~repro.core.redistribution.execute_read`,
+    with a per-handle plan cache), so MxN redistribution and fused
+    plug-ins work across the network hop unchanged.
     """
 
     def __init__(self, client: RemoteClient, stream_id: str,
@@ -783,14 +787,18 @@ class NetReadHandle(ReadHandle):
         self._cursor = 0
         self._cache: dict[int, _CachedStep] = {}
         self._closed = False
-        #: Reader-side plug-in chain: compilable chains run fused per
-        #: block (single pass, no assembled intermediate); free-form
-        #: codelets keep the interpreted assemble-then-apply path.
+        #: Reader-side plug-in chain, run by
+        #: :func:`~repro.core.redistribution.execute_read`: compilable
+        #: chains fuse into the cached plan, free-form codelets run
+        #: interpreted after the scatter.
         self.plugins = PluginManager(client.monitor)
         self._pushdown = bool(pushdown)
         #: Predicate spec the current data channel ATTACHed with; the
         #: channel is re-ATTACHed whenever the chain's predicate changes.
         self._attached_pred = ""
+        #: The parsed :attr:`_attached_pred` (``None`` without pushdown).
+        self._pruning: Optional[BlockPredicate] = None
+        self._plans = PlanCache(maxsize=64)
 
     @property
     def current_step(self) -> int:
@@ -857,6 +865,7 @@ class NetReadHandle(ReadHandle):
         channel = self._client._attach(self.stream_id, "r", predicate=spec)
         old, self._channel = self._channel, channel
         self._attached_pred = spec
+        self._pruning = parse_predicate(spec)
         try:
             old.close()
         except (TransportFault, OSError):
@@ -874,119 +883,41 @@ class NetReadHandle(ReadHandle):
         return self._fetch(self._cursor).var_names()
 
     def _blocks(self, name: str):
-        blocks = []
-        gshape = None
-        dtype = None
-        for rec in self._fetch(self._cursor).vars:
-            if rec["name"] != name:
-                continue
-            data = rec["data"]
-            dtype = data.dtype
-            if rec["gshape"]:
-                gshape = tuple(rec["gshape"])
-            if rec["start"]:
-                box = BoundingBox(tuple(rec["start"]), tuple(data.shape))
-                blocks.append((box, data))
-        if dtype is None:
-            raise VariableNotFound(
-                f"no variable {name!r} at step {self._cursor}"
-            )
-        return blocks, gshape, dtype
-
-    def _fusable_chain(self, name: str):
-        if not self.plugins.has_side(PluginSide.READER):
-            return None
-        chain = self.plugins.compiled_chain(PluginSide.READER)
-        if chain is None or not chain.supports(name):
-            return None
-        return chain
-
-    def _read_fused(self, name, chain, blocks, target, dtype):
-        """Single-pass read: slice each writer block to the selection,
-        run the chain's cursor per block in ascending row order, and
-        concatenate the survivors — no assembled intermediate array.
-
-        Returns None when the blocks do not row-tile the selection (the
-        fused contract: full trailing dims, leading-axis tiling).  Gaps
-        are tolerated only when this reader registered a pushdown
-        predicate — then a missing block is exactly one the broker
-        proved the chain drops, so it contributes zero rows either way.
-        """
-        ndim = len(target.count)
-        pieces = []
-        for box, data in blocks:
-            inter = intersect(target, box)
-            if inter is None:
-                continue
-            if tuple(inter.count[1:]) != tuple(target.count[1:]):
-                return None  # partial trailing dims: not a row tiling
-            sl = tuple(
-                slice(inter.start[d] - box.start[d],
-                      inter.start[d] - box.start[d] + inter.count[d])
-                for d in range(ndim)
-            )
-            pieces.append((inter.start[0], inter.count[0], data[sl]))
-        pieces.sort(key=lambda p: p[0])
-        row = target.start[0]
-        for at, n, _ in pieces:
-            if at < row:
-                return None  # overlapping writer blocks: order ambiguous
-            if at > row and not self._attached_pred:
-                return None  # gap: assemble() would fill — keep that path
-            row = at + n
-        if row != target.start[0] + target.count[0] and not self._attached_pred:
-            return None
-        cursor = chain.cursor(name)
-        out_pieces = []
-        for _, _, piece in pieces:
-            got = cursor.apply_block(np.ascontiguousarray(piece))
-            if got.shape[0]:
-                out_pieces.append(got)
-        cursor.finish(self._client.monitor)
-        self.plugins.count_fused_read()
-        if not out_pieces:
-            return np.empty((0, *target.count[1:]), dtype=dtype)
-        if len(out_pieces) == 1:
-            return np.ascontiguousarray(out_pieces[0])
-        return np.concatenate(out_pieces, axis=0)
-
-    def read(self, name, *, start=None, count=None, selection=None):
-        start, count = resolve_read_args(selection, start, count)
-        blocks, gshape, dtype = self._blocks(name)
-        if gshape is None:
+        """The current step's ``(box, data)`` blocks of global array
+        ``name``, with the array's global shape and dtype."""
+        recs = [r for r in self._fetch(self._cursor).vars if r["name"] == name]
+        if not recs:
+            raise VariableNotFound(f"no variable {name!r} at step {self._cursor}")
+        gshapes = [tuple(r["gshape"]) for r in recs if r["gshape"]]
+        if not gshapes:
             raise AdiosError(
                 f"variable {name!r} is not a global array; use read_block()"
             )
-        target = resolve_selection(start, count, gshape)
-        out = None
-        chain = self._fusable_chain(name)
-        if chain is not None:
-            out = self._read_fused(name, chain, blocks, target, dtype)
-        if out is None:
-            if self._attached_pred:
-                # The broker may have pruned blocks of this step; only
-                # the fused per-block path reads a pruned step soundly
-                # (assemble() would put fill values where pruned rows
-                # were, and the interpreted chain could select them).
-                raise AdiosError(
-                    f"pushdown is active but the blocks of {name!r} do not "
-                    f"row-tile the selection; re-open without pushdown for "
-                    f"this access pattern"
-                )
-            out = assemble(
-                target,
-                ((b, d) for b, d in blocks if intersect(target, b) is not None),
-                dtype=dtype,
-            )
-            if self.plugins.has_side(PluginSide.READER):
-                self.plugins.count_interpreted_read()
-                out = self.plugins.apply_side(
-                    PluginSide.READER, {name: out}
-                )[name]
-        self._client.monitor.record(
-            "stream_read", name, start=0.0, duration=0.0, nbytes=int(out.nbytes)
+        blocks = [
+            (BoundingBox(tuple(r["start"]), tuple(r["data"].shape)), r["data"])
+            for r in recs if r["start"]
+        ]
+        return blocks, gshapes[-1], recs[-1]["data"].dtype
+
+    def read(self, name, *, start=None, count=None, selection=None):
+        return self._read(name, None, start, count, selection)
+
+    def read_into(self, name, out, *, start=None, count=None, selection=None):
+        return self._read(name, out, start, count, selection)
+
+    def _read(self, name, out, start, count, selection):
+        start, count = resolve_read_args(selection, start, count)
+        blocks, gshape, dtype = self._blocks(name)
+        # The broker prunes only blocks of variables the attached
+        # predicate has a range term for; others arrive whole.
+        pruned = self._pruning is not None and self._pruning.prunes(name)
+        return execute_read(
+            name, blocks, gshape, dtype, resolve_selection(start, count, gshape),
+            plugins=self.plugins,
+            chain=self.plugins.compiled_chain(PluginSide.READER), cache=self._plans,
+            monitor=self._client.monitor, out=out, pruned=pruned,
+            step=self._cursor,
         )
-        return out
 
     def read_block(self, name, writer_rank):
         for rec in self._fetch(self._cursor).vars:
