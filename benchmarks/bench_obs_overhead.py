@@ -2,18 +2,19 @@
 
 The flight recorder is *always on*, so its per-event cost rides on every
 hot-path message.  This bench drives the same 8 MiB shm-pool delivery
-loop as :mod:`bench_buffers` with the data plane's per-step recorder
-calls (``step.begin`` + ``step.commit``) made explicitly per message,
-and compares msgs/s with the recorder **enabled** against the same loop
-with ``FLEXIO_FLIGHT=0`` (the disabled fast path: one env check and an
-early return).
+loop as :mod:`bench_buffers` with the data plane's per-step telemetry
+calls (``emit(monitor, step.begin)`` + ``emit(monitor, step.commit)``,
+which also bump the drain counters) made explicitly per message, and
+compares msgs/s with the recorder **enabled** against the same loop
+with ``FLEXIO_FLIGHT=0`` (the counters still count; the flight ring is
+skipped after one env check).
 
 Target (asserted by the pytest wrapper and recorded in the JSON):
 ``< 5%`` msgs/s cost on the 8 MiB shm-pool path.  An 8 MiB pool copy
 dominates two ring appends by orders of magnitude, so a larger overhead
 means the recorder's lock or allocation behaviour regressed.
 
-A microbenchmark of ``record()`` itself (ns/event, enabled vs disabled)
+A microbenchmark of ``emit()`` itself (ns/event, enabled vs disabled)
 is included so a regression can be localized without the transport in
 the way.
 
@@ -30,6 +31,7 @@ import time
 import numpy as np
 
 from repro.core.monitoring import PerfMonitor
+from repro.obs import emit
 from repro.obs import recorder as flight
 from repro.obs.events import EV_STEP_BEGIN, EV_STEP_COMMIT
 from repro.transport.shm import ShmChannel
@@ -58,13 +60,12 @@ def _run_loop(reps, enabled):
     try:
         t0 = time.perf_counter()
         for step in range(reps):
-            flight.record(EV_STEP_BEGIN, stream=STREAM, step=step)
+            emit(mon, EV_STEP_BEGIN, STREAM, step=step)
             ch.send(payload)
             wb = ch.recv()
             if not wb.released:
                 wb.release()
-            flight.record(EV_STEP_COMMIT, stream=STREAM, step=step,
-                          nbytes=SIZE)
+            emit(mon, EV_STEP_COMMIT, STREAM, step=step, nbytes=SIZE)
         dt = time.perf_counter() - t0
     finally:
         ch.close()
@@ -79,13 +80,14 @@ def _run_loop(reps, enabled):
     }
 
 
-def _record_ns(n, enabled):
-    """Microbenchmark: cost of one record() call in nanoseconds."""
+def _emit_ns(n, enabled):
+    """Microbenchmark: cost of one emit() call in nanoseconds."""
     _set_enabled(enabled)
+    mon = PerfMonitor()
     try:
         t0 = time.perf_counter()
         for i in range(n):
-            flight.record(EV_STEP_COMMIT, stream=STREAM, step=i)
+            emit(mon, EV_STEP_COMMIT, STREAM, step=i, nbytes=SIZE)
         dt = time.perf_counter() - t0
     finally:
         os.environ.pop("FLEXIO_FLIGHT", None)
@@ -119,8 +121,8 @@ def run(quick=False, rounds=3):
         "best_enabled_msgs_per_s": best["enabled"]["msgs_per_s"],
         "overhead_pct": round(overhead * 100, 2),
         "pass_overhead_lt_5pct": overhead < 0.05,
-        "record_ns_enabled": _record_ns(micro_n, enabled=True),
-        "record_ns_disabled": _record_ns(micro_n, enabled=False),
+        "emit_ns_enabled": _emit_ns(micro_n, enabled=True),
+        "emit_ns_disabled": _emit_ns(micro_n, enabled=False),
     }
 
 
@@ -131,9 +133,9 @@ def test_flight_recorder_overhead_under_5pct_on_8mib_pool():
     assert results["pass_overhead_lt_5pct"], results
 
 
-def test_record_call_is_submicrosecond():
-    assert _record_ns(50_000, enabled=True) < 20_000  # 20 µs: gross regression
-    assert _record_ns(50_000, enabled=False) < 5_000
+def test_emit_call_cost_is_bounded():
+    assert _emit_ns(50_000, enabled=True) < 20_000  # 20 µs: gross regression
+    assert _emit_ns(50_000, enabled=False) < 5_000
 
 
 def main(argv=None):
@@ -148,8 +150,8 @@ def main(argv=None):
     for c in results["cells"]:
         print(f"{c['mode']:9s} {c['reps']:5d} {c['msgs_per_s']:9.2f} "
               f"{c['mb_per_s']:10.1f}")
-    print(f"record(): {results['record_ns_enabled']} ns enabled, "
-          f"{results['record_ns_disabled']} ns disabled")
+    print(f"emit(): {results['emit_ns_enabled']} ns enabled, "
+          f"{results['emit_ns_disabled']} ns disabled")
     print(f"8 MiB shm-pool overhead: {results['overhead_pct']:.2f}% "
           f"({'PASS' if results['pass_overhead_lt_5pct'] else 'FAIL'} <5%)")
     print(f"wrote {os.path.abspath(args.out)}")

@@ -26,6 +26,7 @@ from repro.core.hints import CACHING_ALL, stream_params
 from repro.core.plugins import sampling_plugin
 from repro.coupled.insitu import InSituRun
 from repro.machine import smoky
+from repro.obs.names import M_DRAIN_BYTES_COMMITTED, M_DRAIN_STEPS_COMMITTED
 from repro.util import fmt_bytes
 
 CONFIG = """
@@ -114,11 +115,12 @@ def main() -> None:
         n = state.monitor.dump(trace)
         print(f"dumped {n} monitoring records for offline tuning "
               f"({os.path.getsize(trace)} bytes)")
-    summary = state.monitor.summary()
-    for cat in ("stream_publish", "dc_plugin", "dc_migration"):
-        if cat in summary:
-            s = summary[cat]
-            print(f"  {cat:16s} count={s['count']:4d} bytes={fmt_bytes(s['total_bytes'])}")
+    metrics = state.monitor.metrics
+    for name in (M_DRAIN_STEPS_COMMITTED, M_DRAIN_BYTES_COMMITTED):
+        print(f"  {name:34s} {int(metrics.counter(name).value)}")
+    dc = state.monitor.summary().get("dc_plugin")
+    if dc is not None:
+        print(f"  dc_plugin count={dc['count']:4d} bytes={fmt_bytes(dc['total_bytes'])}")
 
 
 if __name__ == "__main__":

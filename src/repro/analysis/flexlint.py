@@ -27,11 +27,11 @@ FXL006    Copy-discipline breach on the zero-copy plane (``transport/``,
           ``core/stream.py``): ``.tobytes()`` / ``bytes(...)`` /
           ``bytearray(...)`` materialize a copy of data that should
           travel as :class:`~repro.transport.buffers.WireBuffer` views.
-FXL007    Unregistered event code in a hot-path ``record()`` call: the
-          first argument must be a constant from the central event
+FXL007    Unregistered event code in an ``emit()`` call: the code (the
+          second argument) must be a constant from the central event
           table (:mod:`repro.obs.events`) or a ``Name``/``Attribute``
           reference to one — ad-hoc f-strings and computed event names
-          defeat the flight recorder's fixed vocabulary.
+          defeat the table's fixed vocabulary.
 FXL008    Removed/legacy step-API spelling: ``.advance()`` is gone
           (writers call ``end_step()``, readers drive
           ``begin_step()``/``end_step()``), and selections must go
@@ -126,8 +126,8 @@ RULES: dict[str, Rule] = {
              ".tobytes()/bytes()/bytearray() under transport/ and "
              "core/stream.py materialize copies; carry WireBuffer/"
              "memoryview spans instead (or waive with a reason)."),
-        Rule("FXL007", "unregistered event code in record() call",
-             "the first argument of record() must be a string literal "
+        Rule("FXL007", "unregistered event code in emit() call",
+             "the code argument of emit() must be a string literal "
              "registered in repro.obs.events (or a Name/Attribute "
              "constant reference); no f-strings or computed names."),
         Rule("FXL008", "removed/legacy step-API spelling",
@@ -238,7 +238,7 @@ class LintConfig:
         "repro/core/stream.py",
     )
     #: Override for the registered event codes (FXL007); None = the
-    #: repro.obs.events central table (flight events + trace categories).
+    #: repro.obs.events central table.
     event_codes: Optional[frozenset[str]] = None
     #: Paths where FXL010 (no blocking calls in async bodies) applies.
     blocking_async_paths: tuple[str, ...] = ("repro/net/",)
@@ -579,17 +579,17 @@ def _check_event_codes(tree: ast.AST, path: str, cfg: LintConfig):
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None
         )
-        if name != "record" or not node.args:
+        if name != "emit" or len(node.args) < 2:
             continue
-        arg = node.args[0]
+        arg = node.args[1]
         if isinstance(arg, (ast.Name, ast.Attribute)):
-            # A reference to a registered constant (EV_*, span.category,
-            # self._category) — resolved at runtime by the recorder.
+            # A reference to a registered constant (EV_*, a local code
+            # variable) — resolved at runtime against the table.
             continue
         if isinstance(arg, ast.JoinedStr):
             yield Finding(
                 "FXL007", path, arg.lineno, arg.col_offset,
-                "f-string event name in record(); use a registered "
+                "f-string event code in emit(); use a registered "
                 "constant from repro.obs.events and carry the variable "
                 "parts as attrs",
             )
@@ -605,7 +605,7 @@ def _check_event_codes(tree: ast.AST, path: str, cfg: LintConfig):
         elif not isinstance(arg, ast.Constant):
             yield Finding(
                 "FXL007", path, arg.lineno, arg.col_offset,
-                "computed event name in record(); event codes must be "
+                "computed event code in emit(); event codes must be "
                 "registered constants from repro.obs.events",
             )
 

@@ -89,12 +89,11 @@ class Sanitizer:
         with self._mu:
             self._violations.append(Violation(kind, what, details))
         # Lazy import: the sanitizer is imported by the data plane, the
-        # recorder by the sanitizer — only at violation time, so module
-        # import order stays acyclic.
-        from repro.obs import recorder as flight
-        from repro.obs.events import EV_SANITIZER
+        # event table by the sanitizer — only at violation time, so
+        # module import order stays acyclic.
+        from repro.obs.events import EV_SANITIZER, emit
 
-        flight.record(EV_SANITIZER, kind=kind, what=what)
+        emit(None, EV_SANITIZER, kind=kind, what=what)
 
     def violations(self) -> list[Violation]:
         with self._mu:

@@ -34,6 +34,7 @@ from typing import Optional
 from repro.core.hints import MOVEMENT_STAGES, STAGE_DC_PLUGIN, STAGE_TRANSPORT
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import DCPlugin, PluginManager, PluginSide
+from repro.obs.events import EV_DC_MIGRATION, emit
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +156,9 @@ class DCPlacementController:
                 self.events.append(event)
                 performed.append(event)
                 if self.monitor is not None:
-                    self.monitor.record(
-                        "dc_migration", plugin.name, start=float(self._step),
-                        duration=0.0, to=desired.value, reason=reason,
+                    emit(
+                        self.monitor, EV_DC_MIGRATION, plugin.name,
+                        step=self._step, to=desired.value, reason=reason,
                     )
         self._step += 1
         return performed

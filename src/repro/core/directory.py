@@ -24,8 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.obs import recorder as flight
-from repro.obs.events import EV_ADMISSION_REJECT, EV_LEASE_REAP
+from repro.obs.events import EV_ADMISSION_REJECT, EV_LEASE_REAP, emit
 
 
 class DirectoryError(RuntimeError):
@@ -148,7 +147,7 @@ class DirectoryServer:
             entry = self._entries.pop(name)
             self.evictions += 1
             evicted.append(name)
-            flight.record(EV_LEASE_REAP, stream=name, lease=entry.lease)
+            emit(None, EV_LEASE_REAP, name, lease=entry.lease)
             fail = getattr(entry.writer.contact, "fail", None)
             if callable(fail):
                 try:
@@ -385,16 +384,14 @@ class TenantDirectory:
 
     # -- admission control -------------------------------------------------
     def _reject(self, tenant: str, err: AdmissionError) -> AdmissionError:
-        """Account one rejection (counter + flight event); returns the
-        error for the caller to raise."""
+        """Account one rejection as a ``tenant.admission.reject`` event;
+        returns the error for the caller to raise."""
         self.rejected += 1
         kind = err.kind.value if err.kind is not None else "other"
-        if self.metrics is not None:
-            self.metrics.counter(
-                "tenant.admission.rejected",
-                labels={"tenant": tenant, "reason": kind},
-            ).inc()
-        flight.record(EV_ADMISSION_REJECT, tenant=tenant, reason=kind)
+        emit(
+            self.metrics, EV_ADMISSION_REJECT,
+            labels={"tenant": tenant, "reason": kind}, tenant=tenant, reason=kind,
+        )
         return err
 
     def authenticate(self, tenant: str, token: Optional[str] = None) -> TenantSpec:

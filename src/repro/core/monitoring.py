@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -35,6 +35,10 @@ from repro.obs.tracing import CURRENT, Span, Tracer
 #: one of these are namespaced under an ``x.`` prefix on dump so they can
 #: never clobber a core field and the round trip stays lossless.
 _CORE_FIELDS = frozenset({"category", "name", "start", "duration", "bytes"})
+
+#: Capacity of :attr:`PerfMonitor.trace`: the newest records are kept, so
+#: observing a long run never grows without bound.
+TRACE_CAPACITY = 32768
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,7 @@ class MeasurementPoint:
 class PerfMonitor:
     """Per-process monitor: trace buffer + online aggregates + telemetry.
 
+    ``trace`` is a ring of the newest :data:`TRACE_CAPACITY` records.
     ``tracing`` defaults to the process-wide setting from
     :func:`repro.obs.default_tracing` (off unless ``FLEXIO_TRACE`` is set
     or :func:`repro.obs.set_default_tracing` was called).
@@ -164,7 +169,7 @@ class PerfMonitor:
     ) -> None:
         self.clock = clock or time.perf_counter
         self.keep_trace = keep_trace
-        self.trace: list[TraceRecord] = []
+        self.trace: deque[TraceRecord] = deque(maxlen=TRACE_CAPACITY)
         self.aggregates: dict[str, CategoryAggregate] = defaultdict(CategoryAggregate)
         #: Instrumented allocation tracking (Section II.G: "dynamic memory
         #: allocation points within FlexIO are also instrumented").
@@ -235,6 +240,8 @@ class PerfMonitor:
         nbytes: int = 0,
         **extra: Any,
     ) -> TraceRecord:
+        """Record one measured duration (a finished span or ``measure()``);
+        point-in-time facts go through :func:`repro.obs.emit` instead."""
         rec = TraceRecord(
             category, name, start, duration, nbytes, tuple(sorted(extra.items()))
         )
@@ -243,6 +250,14 @@ class PerfMonitor:
         self.aggregates[category].observe(rec)
         self.metrics.histogram(metric_name(F_LATENCY, category)).observe(duration)
         return rec
+
+    def instant(self, code: str, name: str, **attrs: Any) -> None:
+        """Append an instant event (see :func:`repro.obs.emit`): stamped
+        now, zero duration, kept out of the aggregates and histograms."""
+        nbytes = int(attrs.pop("nbytes", 0))
+        self.trace.append(TraceRecord(
+            code, name, self.clock(), 0.0, nbytes, tuple(sorted(attrs.items())),
+        ))
 
     def measure(self, category: str, name: str, nbytes: int = 0, **extra: Any) -> MeasurementPoint:
         return MeasurementPoint(self, category, name, nbytes, **extra)
@@ -266,10 +281,11 @@ class PerfMonitor:
 
     def dump(self, path: str) -> int:
         """Write the trace as JSON lines; returns record count."""
+        records = list(self.trace)  # snapshot: writers may still append
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.trace:
+            for rec in records:
                 fh.write(json.dumps(rec.as_dict()) + "\n")
-        return len(self.trace)
+        return len(records)
 
     @staticmethod
     def load(path: str) -> list[dict]:
@@ -288,7 +304,8 @@ class PerfMonitor:
         from repro.obs.export import write_perfetto
 
         return write_perfetto(
-            (rec.as_dict() for rec in self.trace), path, process_name=process_name
+            (rec.as_dict() for rec in list(self.trace)), path,
+            process_name=process_name,
         )
 
     def merge_from(self, other: "PerfMonitor") -> None:

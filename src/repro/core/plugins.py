@@ -550,7 +550,8 @@ class DCPlugin:
         )
         if fused:
             monitor.record(
-                STAGE_DC_PLUGIN, self.name, start=0.0, duration=elapsed,
+                STAGE_DC_PLUGIN, self.name,
+                start=monitor.clock() - elapsed, duration=elapsed,
                 nbytes=nbytes_in, side=self.side.value, fused=True,
             )
 

@@ -34,6 +34,7 @@ from repro.adios.api import AdiosError
 from repro.adios.selection import BoundingBox, intersect
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import PluginManager, PluginSide
+from repro.obs.events import EV_REDIST_MOVE, emit
 from repro.obs.tracing import CURRENT
 
 
@@ -632,9 +633,6 @@ def execute_read(
             _check_out(name, out, result.shape)
             out[...] = result
             result = out
-    monitor.record(
-        "stream_read", name, start=0.0, duration=0.0, nbytes=int(result.nbytes)
-    )
     return result
 
 
@@ -780,17 +778,9 @@ class RedistributionEngine:
                 span.add_bytes(nbytes_moved)
                 span.__exit__(None, None, None)
         if self.monitor:
-            self.monitor.record(
-                "redistribution",
-                "move",
-                start=0.0,
-                duration=0.0,
-                nbytes=nbytes_moved,
-                pairs=len(self.plan.pairs),
-            )
-            self.monitor.metrics.counter("redistribution.bytes_moved").inc(nbytes_moved)
-            self.monitor.metrics.counter("redistribution.stride_messages").inc(
-                len(self.plan.pairs)
+            emit(
+                self.monitor, EV_REDIST_MOVE, "move",
+                nbytes=nbytes_moved, pairs=len(self.plan.pairs),
             )
         return outputs
 

@@ -99,18 +99,8 @@ from repro.core.plugins import (
     parse_predicate,
 )
 from repro.obs import recorder as flight
-from repro.obs.events import (
-    EV_BACKPRESSURE,
-    EV_DEGRADE,
-    EV_DRAIN_WEDGED,
-    EV_QUEUE_HIGH_WATER,
-    EV_RETRY,
-    EV_STEP_ABORTED,
-    EV_STEP_BEGIN,
-    EV_STEP_COMMIT,
-    EV_STEP_LOST,
-    EV_STREAM_FAILED,
-)
+from repro.obs import events as ev
+from repro.obs.events import emit
 from repro.core.resilience import (
     MovementFailed,
     Participant,
@@ -168,13 +158,14 @@ DRAINER_METHODS = frozenset({
 })
 
 #: Attributes the drainer thread is allowed to mutate.  ``_published`` /
-#: ``peak_buffered_bytes`` / ``backpressure_events`` are guarded by
-#: ``_publish_lock``; ``_pending`` by ``_pending_lock``; ``_channel`` /
-#: ``active_transport`` / ``_consecutive_failures`` are drainer-private
-#: (the drainer is their only writer after pipeline start).
+#: ``_buffered_bytes`` / ``peak_buffered_bytes`` / ``backpressure_events``
+#: are guarded by ``_publish_lock``; ``_pending`` by ``_pending_lock``;
+#: ``_channel`` / ``active_transport`` / ``_consecutive_failures`` are
+#: drainer-private (the drainer is their only writer after pipeline start).
 DRAINER_SHARED_STATE = frozenset({
     "_pending",
     "_published",
+    "_buffered_bytes",
     "_consecutive_failures",
     "_channel",
     "active_transport",
@@ -346,17 +337,14 @@ class _StepDrainer:
             self._queue.put_nowait(item)
         except queue.Full:
             self._state.backpressure_waits += 1
-            mon.metrics.counter("dataplane.backpressure_waits").inc()
-            flight.record(
-                EV_BACKPRESSURE, stream=self._state.name, step=step.step
-            )
+            emit(mon, ev.EV_BACKPRESSURE, self._state.name, step=step.step)
             self._queue.put(item)
         depth = mon.metrics.gauge("dataplane.drain.queue_depth")
         depth.inc()
         if depth.value > self._high_water:
             self._high_water = depth.value
-            flight.record(
-                EV_QUEUE_HIGH_WATER, stream=self._state.name,
+            emit(
+                mon, ev.EV_QUEUE_HIGH_WATER, self._state.name,
                 depth=int(self._high_water),
             )
 
@@ -384,14 +372,7 @@ class _StepDrainer:
         if self._thread.is_alive():
             self.wedged = True
             mon = self._state.monitor
-            mon.metrics.counter("dataplane.drain.wedged").inc()
-            mon.record(
-                "drain_wedged", self._state.name, start=0.0, duration=0.0,
-                timeout=timeout,
-            )
-            flight.record(
-                EV_DRAIN_WEDGED, stream=self._state.name, timeout=timeout
-            )
+            emit(mon, ev.EV_DRAIN_WEDGED, self._state.name, timeout=timeout)
             flight.dump_on_fault(
                 "drain wedged", stream=self._state.name, monitor=mon
             )
@@ -455,6 +436,8 @@ class StreamState:
         self.error: Optional[str] = None
         #: High-water mark of buffered bytes (backpressure visibility).
         self.peak_buffered_bytes = 0
+        #: Running byte total of the published steps (kept on commit).
+        self._buffered_bytes = 0
         self._drainer: Optional[_StepDrainer] = None
         self._channel = None
         #: Transport currently draining steps; degrades down the ladder
@@ -587,8 +570,8 @@ class StreamState:
                 step.trace_ctx = wspan.context
             vis.add_bytes(step.nbytes)
             self._ensure_pipeline()
-            flight.record(
-                EV_STEP_BEGIN, stream=self.name,
+            emit(
+                self.monitor, ev.EV_STEP_BEGIN, self.name,
                 step=step.step, nbytes=step.nbytes,
             )
             self._drainer.submit(
@@ -675,11 +658,7 @@ class StreamState:
             self._consecutive_failures = 0
             self._commit(step)
         else:
-            mon.metrics.counter("dataplane.drain.errors").inc()
-            mon.record(
-                "drain_error", self.name, start=0.0, duration=0.0,
-                step=step.step, error=repr(err),
-            )
+            emit(mon, ev.EV_DRAIN_ERROR, self.name, step=step.step, error=repr(err))
             self._mark_lost(step, err)
             self._consecutive_failures += 1
             self._maybe_degrade()
@@ -690,9 +669,9 @@ class StreamState:
         Returns None on success, the final exception on failure.  Only
         transport faults and timeouts are retriable — anything else
         (a programming error in the channel) fails the step immediately.
-        Each injected-and-survived fault shows up as a ``drain_fault``
-        record plus a retry counter; a send that eventually succeeds
-        increments ``dataplane.drain.recovered``.
+        Each failed attempt emits ``drain.fault`` and each retry
+        ``drain.retry``; a send that eventually succeeds emits
+        ``drain.recovered``.
         """
         if not parts or self._channel is None:
             return None
@@ -701,10 +680,7 @@ class StreamState:
         last: Optional[Exception] = None
         for attempt in range(policy.max_retries + 1):
             if attempt > 0:
-                mon.metrics.counter("dataplane.drain.retries").inc()
-                flight.record(
-                    EV_RETRY, stream=self.name, step=step.step, attempt=attempt
-                )
+                emit(mon, ev.EV_RETRY, self.name, step=step.step, attempt=attempt)
                 delay = policy.delay_before(attempt, rng=self._retry_rng)
                 if delay > 0:
                     time.sleep(delay)
@@ -721,25 +697,22 @@ class StreamState:
                         # span returns the pool/registration lease.
                         ack.release()
                 if attempt > 0:
-                    mon.metrics.counter("dataplane.drain.recovered").inc()
-                    mon.record(
-                        "drain_recovered", self.name, start=0.0, duration=0.0,
+                    emit(
+                        mon, ev.EV_DRAIN_RECOVERED, self.name,
                         step=step.step, attempts=attempt + 1,
                     )
                 return None
             except (TransportFault, TimeoutError) as exc:
                 last = exc
-                mon.metrics.counter("dataplane.drain.faults").inc()
-                mon.record(
-                    "drain_fault", self.name, start=0.0, duration=0.0,
+                emit(
+                    mon, ev.EV_DRAIN_FAULT, self.name,
                     step=step.step, attempt=attempt, error=repr(exc),
                 )
             # flexlint: ok(FXL001) deliberate non-retriable classifier: any non-fault error fails the step
             except Exception as exc:
                 last = exc
-                mon.metrics.counter("dataplane.drain.faults").inc()
-                mon.record(
-                    "drain_fault", self.name, start=0.0, duration=0.0,
+                emit(
+                    mon, ev.EV_DRAIN_FAULT, self.name,
                     step=step.step, attempt=attempt, error=repr(exc),
                 )
                 break  # non-retriable
@@ -786,15 +759,10 @@ class StreamState:
         step.error = repr(exc)
         step.groups.clear()  # free the buffers; never torn-visible
         mon = self.monitor
-        mon.metrics.counter("dataplane.drain.steps_lost").inc()
-        mon.record(
-            "step_lost", self.name, start=0.0, duration=0.0,
-            step=step.step, status=step.status.value, error=step.error,
-        )
         code = (
-            EV_STEP_ABORTED if step.status is StepState.ABORTED else EV_STEP_LOST
+            ev.EV_STEP_ABORTED if step.status is StepState.ABORTED else ev.EV_STEP_LOST
         )
-        flight.record(code, stream=self.name, step=step.step, error=step.error)
+        emit(mon, code, self.name, step=step.step, error=step.error)
         flight.dump_on_fault(
             f"step {step.step} {step.status.value}",
             stream=self.name, monitor=mon,
@@ -834,34 +802,25 @@ class StreamState:
             )
             self.active_transport = nxt
         self._consecutive_failures = 0
-        self.monitor.metrics.counter("dataplane.transport.degradations").inc()
-        self.monitor.record(
-            "transport_degraded", self.name, start=0.0, duration=0.0,
+        emit(
+            self.monitor, ev.EV_DEGRADE, self.name,
             src=previous, dst=self.active_transport,
-        )
-        flight.record(
-            EV_DEGRADE, stream=self.name, src=previous, dst=self.active_transport
         )
 
     def _commit(self, step: _PublishedStep) -> None:
         step.status = StepState.COMMITTED
+        nbytes = step.nbytes
         with self._publish_lock:
             self._published.append(step)
-            buffered = sum(s.nbytes for s in self._published)
-            self.peak_buffered_bytes = max(self.peak_buffered_bytes, buffered)
+            self._buffered_bytes += nbytes
+            self.peak_buffered_bytes = max(
+                self.peak_buffered_bytes, self._buffered_bytes
+            )
             if len(self._published) > self.hints.buffer_steps:
                 # In the real transport the writer would stall here; in the
                 # in-process harness we surface it through monitoring.
                 self.backpressure_events += 1
-        mon = self.monitor
-        mon.metrics.counter("dataplane.drain.steps_committed").inc()
-        mon.metrics.counter("dataplane.drain.bytes_committed").inc(step.nbytes)
-        mon.record(
-            "stream_publish", self.name, start=0.0, duration=0.0, nbytes=step.nbytes
-        )
-        flight.record(
-            EV_STEP_COMMIT, stream=self.name, step=step.step, nbytes=step.nbytes
-        )
+        emit(self.monitor, ev.EV_STEP_COMMIT, self.name, step=step.step, nbytes=nbytes)
 
     def writer_close(self, rank: int) -> None:
         self._closed_ranks.add(rank)
@@ -892,11 +851,7 @@ class StreamState:
         self._current = {}
         self._advanced = set()
         self.closed = True
-        self.monitor.metrics.counter("dataplane.stream.failures").inc()
-        self.monitor.record(
-            "stream_failed", self.name, start=0.0, duration=0.0, error=reason
-        )
-        flight.record(EV_STREAM_FAILED, stream=self.name, reason=reason)
+        emit(self.monitor, ev.EV_STREAM_FAILED, self.name, reason=reason)
         flight.dump_on_fault(
             f"stream failed: {reason}", stream=self.name, monitor=self.monitor
         )
@@ -1235,10 +1190,6 @@ class FlexpathReadHandle(ReadHandle):
                 tspan.add_bytes(sum(int(wv.data.nbytes) for wv in pg.variables.values()))
             if self._state.plugins.has_side(PluginSide.READER):
                 record = self._state.plugins.apply_side(PluginSide.READER, record)
-        mon.record(
-            "stream_read", name, start=0.0, duration=0.0,
-            nbytes=int(np.asarray(record[name]).nbytes),
-        )
         return np.asarray(record[name])
 
     def read(self, name, *, start=None, count=None, selection=None) -> np.ndarray:
@@ -1333,13 +1284,10 @@ class FlexpathReadHandle(ReadHandle):
             return  # aggregated into this step's earlier round
         cost = eng.handshake(num_variables)
         self._hs_paid_step = self._cursor
-        mon = self._state.monitor
-        mon.record(
-            "handshake", name, start=0.0, duration=0.0,
+        emit(
+            self._state.monitor, ev.EV_HANDSHAKE, name,
             nbytes=cost.control_bytes, messages=cost.messages,
         )
-        mon.metrics.counter("handshake.messages").inc(cost.messages)
-        mon.metrics.counter("handshake.control_bytes").inc(cost.control_bytes)
 
     def handshake_messages(self) -> int:
         """Total handshake messages accounted on this stream (monitoring).

@@ -78,15 +78,8 @@ from repro.net.protocol import (
     encode_frame,
     encode_var,
 )
-from repro.obs import recorder as flight
-from repro.obs.events import (
-    EV_NET_CONNECT,
-    EV_NET_DISCONNECT,
-    EV_NET_RECONNECT,
-    EV_NET_RESUME,
-    EV_NET_SESSION_LOST,
-    EV_NET_STREAM_OPEN,
-)
+from repro.obs import events as ev
+from repro.obs.events import emit
 from repro.transport.faults import (
     PeerDisconnected,
     SessionLost,
@@ -345,7 +338,7 @@ class RemoteClient(Client):
         self.resume_token = ""
         self.resumed = False
         self._retry_exhausted(self._dial, "connect")
-        flight.record(EV_NET_CONNECT, tenant=tenant, client=client_name)
+        emit(None, ev.EV_NET_CONNECT, tenant=tenant, client=client_name)
         # -- background heartbeat (writer leases + reader liveness) --------
         self._hb_interval = float(heartbeat_interval)
         self._hb_streams: set[str] = set()
@@ -390,9 +383,9 @@ class RemoteClient(Client):
         self.resumed = bool(welcome.record["resumed"])
         self.resume_token = welcome.record["resume"]
         if self.resumed:
-            self.monitor.metrics.counter("net.resume").inc()
-            flight.record(
-                EV_NET_RESUME, session=self.session_id, tenant=self.tenant
+            emit(
+                self.monitor, ev.EV_NET_RESUME,
+                session=self.session_id, tenant=self.tenant,
             )
 
     def _reconnect(self, attempt: int, exc: Exception) -> None:
@@ -404,9 +397,8 @@ class RemoteClient(Client):
         """
         if isinstance(exc, RetryAfter) and exc.delay > 0:
             self._sleep(exc.delay)
-        self.monitor.metrics.counter("net.reconnects").inc()
-        flight.record(
-            EV_NET_RECONNECT, attempt=attempt, tenant=self.tenant,
+        emit(
+            self.monitor, ev.EV_NET_RECONNECT, attempt=attempt, tenant=self.tenant,
             cause=type(exc).__name__,
         )
         self._dial()
@@ -421,9 +413,8 @@ class RemoteClient(Client):
                 on_retry=on_retry, rng=self._rng, sleep=self._sleep,
             )
         except RECONNECT_FAULTS as exc:
-            self.monitor.metrics.counter("net.sessions_lost").inc()
-            flight.record(
-                EV_NET_SESSION_LOST, tenant=self.tenant, what=what,
+            emit(
+                self.monitor, ev.EV_NET_SESSION_LOST, tenant=self.tenant, what=what,
                 cause=type(exc).__name__,
             )
             raise SessionLost(
@@ -544,8 +535,7 @@ class RemoteClient(Client):
         stream_id = reply.record["stream_id"]
         channel = self._attach(stream_id, mode)
         self._hb_streams.add(name)
-        flight.record(EV_NET_STREAM_OPEN, stream=stream_id, mode=mode,
-                      tenant=self.tenant)
+        emit(None, ev.EV_NET_STREAM_OPEN, stream_id, mode=mode, tenant=self.tenant)
         if mode == "w":
             return NetWriteHandle(self, stream_id, channel, rank=rank, name=name)
         return NetReadHandle(self, stream_id, channel, name=name,
@@ -581,13 +571,18 @@ class RemoteClient(Client):
                   role: str, old: TcpChannel,
                   predicate: str = "") -> TcpChannel:
         """Data-path recovery: reconnect the control session (fresh
-        socket + resume HELLO), then re-ATTACH the data channel."""
+        socket + resume HELLO), then re-ATTACH the data channel.
+
+        Holds the control lock like :meth:`_rpc`, so a heartbeat RPC
+        never interleaves its frames with the resume HELLO on the fresh
+        socket."""
         try:
             old.close()
         except (TransportFault, OSError):
             pass
-        self._reconnect(attempt, exc)
-        return self._attach(stream_id, role, predicate=predicate)
+        with self._lock:
+            self._reconnect(attempt, exc)
+            return self._attach(stream_id, role, predicate=predicate)
 
     def _close_stream(self, stream_id: str, name: str) -> None:
         self._hb_streams.discard(name)
@@ -615,7 +610,7 @@ class RemoteClient(Client):
                 self._sock.close()
             except OSError:
                 pass
-        flight.record(EV_NET_DISCONNECT, tenant=self.tenant)
+        emit(None, ev.EV_NET_DISCONNECT, tenant=self.tenant)
 
 
 # ---------------------------------------------------------------------------

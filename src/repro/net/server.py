@@ -66,29 +66,11 @@ from repro.net.protocol import (
     encode_frame,
     encode_record,
 )
-from repro.obs import recorder as flight
-from repro.obs.events import (
-    EV_FAULT,
-    EV_NET_CHECKPOINT,
-    EV_NET_CONNECT,
-    EV_NET_DISCONNECT,
-    EV_NET_DRAIN,
-    EV_NET_DUP_PUBLISH,
-    EV_NET_RESTORE,
-    EV_NET_RESUME,
-    EV_NET_RETRY_AFTER,
-    EV_NET_STEP_FETCH,
-    EV_NET_STEP_PUBLISH,
-    EV_NET_STREAM_OPEN,
-)
+from repro.obs import events as ev
+from repro.obs.events import emit
 from repro.obs.live import LiveTelemetryServer
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.names import (
-    F_FAULTS_INJECTED,
-    M_FAULTS_INJECTED_TOTAL,
-    M_PLUGIN_BLOCKS_SKIPPED,
-    metric_name,
-)
+from repro.obs.names import M_PLUGIN_BLOCKS_SKIPPED
 from repro.transport.faults import (
     FaultKind,
     TransportFaultInjector,
@@ -146,11 +128,9 @@ class HostedStream:
         """Store one step; returns False for a suppressed duplicate."""
         if seq > 0:
             if seq <= self.last_seq:
-                self.monitor.metrics.counter(
-                    "net.dup_publishes", labels=self._labels
-                ).inc()
-                flight.record(
-                    EV_NET_DUP_PUBLISH, stream=self.stream_id, step=step, seq=seq
+                emit(
+                    self.monitor, ev.EV_NET_DUP_PUBLISH, self.stream_id,
+                    labels=self._labels, step=step, seq=seq,
                 )
                 return False
             self.last_seq = seq
@@ -160,22 +140,22 @@ class HostedStream:
             self.eos_step = step + 1
         while len(self._steps) > self.retain_steps:
             del self._steps[min(self._steps)]
-        m = self.monitor.metrics
-        m.counter("net.steps_published", labels=self._labels).inc()
-        m.counter("net.bytes_published", labels=self._labels).inc(len(payload))
-        m.gauge("net.retained_steps", labels=self._labels).set(len(self._steps))
-        flight.record(
-            EV_NET_STEP_PUBLISH, stream=self.stream_id, step=step, nbytes=len(payload)
+        self.monitor.metrics.gauge(
+            "net.retained_steps", labels=self._labels
+        ).set(len(self._steps))
+        emit(
+            self.monitor, ev.EV_NET_STEP_PUBLISH, self.stream_id,
+            labels=self._labels, step=step, nbytes=len(payload),
         )
         return True
 
     def fetch(self, step: int) -> Optional[tuple[int, bytes]]:
         got = self._steps.get(step)
         if got is not None:
-            m = self.monitor.metrics
-            m.counter("net.steps_fetched", labels=self._labels).inc()
-            m.counter("net.bytes_fetched", labels=self._labels).inc(len(got[1]))
-            flight.record(EV_NET_STEP_FETCH, stream=self.stream_id, step=step)
+            emit(
+                self.monitor, ev.EV_NET_STEP_FETCH, self.stream_id,
+                labels=self._labels, step=step, nbytes=len(got[1]),
+            )
         return got
 
     def ended(self, step: int) -> bool:
@@ -442,9 +422,10 @@ class DirectoryDaemon:
         dropped, torn, or the connection was killed); False for kinds
         that only perturb timing.
         """
-        self.metrics.counter(metric_name(F_FAULTS_INJECTED, kind.value)).inc()
-        self.metrics.counter(M_FAULTS_INJECTED_TOTAL).inc()
-        flight.record(EV_FAULT, kind=kind.value, transport="daemon", nbytes=total)
+        emit(
+            self.metrics, ev.EV_FAULT,
+            kind=kind.value, transport="daemon", nbytes=total,
+        )
         if kind is FaultKind.DROPPED_FRAME:
             return True  # the reply silently never leaves; peer times out
         if kind is FaultKind.DELAYED_FRAME:
@@ -475,7 +456,7 @@ class DirectoryDaemon:
 
     async def _send_retry_after(self, writer, reason: str,
                                 delay: float = DEFAULT_RETRY_AFTER_S) -> None:
-        flight.record(EV_NET_RETRY_AFTER, reason=reason, delay=delay)
+        emit(None, ev.EV_NET_RETRY_AFTER, reason=reason, delay=delay)
         await self._write_frame(
             writer, encode_frame(MsgType.RETRY_AFTER, {"delay": delay, "reason": reason})
         )
@@ -511,7 +492,7 @@ class DirectoryDaemon:
                 if clean_bye:
                     self._sessions.pop(session.session_id, None)
                     self._resume.pop(session.resume, None)
-                flight.record(EV_NET_DISCONNECT, tenant=session.tenant)
+                emit(None, ev.EV_NET_DISCONNECT, tenant=session.tenant)
             writer.close()
 
     async def _control_hello(self, reader, writer) -> Optional[_Session]:
@@ -558,11 +539,11 @@ class DirectoryDaemon:
             self._resume[session.resume] = session.session_id
             self.metrics.counter("net.sessions", labels={"tenant": tenant}).inc()
         else:
-            self.metrics.counter("net.resumes", labels={"tenant": tenant}).inc()
-            flight.record(
-                EV_NET_RESUME, session=session.session_id, tenant=tenant
+            emit(
+                self.metrics, ev.EV_NET_SESSION_RESUMED, labels={"tenant": tenant},
+                session=session.session_id, tenant=tenant,
             )
-        flight.record(EV_NET_CONNECT, tenant=tenant, client=session.client)
+        emit(None, ev.EV_NET_CONNECT, tenant=tenant, client=session.client)
         await self._write_frame(writer, encode_frame(MsgType.WELCOME, {
             "session": session.session_id,
             "server": SERVER_VERSION,
@@ -680,7 +661,7 @@ class DirectoryDaemon:
         else:
             await self._send_error(writer, "protocol", f"bad open mode {mode!r}")
             return
-        flight.record(EV_NET_STREAM_OPEN, stream=stream_id, mode=mode, tenant=tenant)
+        emit(None, ev.EV_NET_STREAM_OPEN, stream_id, mode=mode, tenant=tenant)
         await self._write_frame(writer, encode_frame(MsgType.OPEN_REPLY, {
             "stream_id": stream_id,
             "data_port": self.data_port,
@@ -847,8 +828,7 @@ class DirectoryDaemon:
             return
         self._draining = True
         peers = list(self._attached)
-        flight.record(EV_NET_DRAIN, peers=len(peers), delay=delay)
-        self.metrics.counter("net.drains").inc()
+        emit(self.metrics, ev.EV_NET_DRAIN, peers=len(peers), delay=delay)
         frame = encode_frame(
             MsgType.RETRY_AFTER, {"delay": delay, "reason": "draining"}
         )
@@ -916,9 +896,8 @@ class DirectoryDaemon:
         os.replace(tmp, target)
 
     def _note_checkpoint(self, target: str, nbytes: int) -> None:
-        self.metrics.counter("net.checkpoints").inc()
-        flight.record(
-            EV_NET_CHECKPOINT, path=target, nbytes=nbytes,
+        emit(
+            self.metrics, ev.EV_NET_CHECKPOINT, path=target, nbytes=nbytes,
             streams=len(self._streams), sessions=len(self._sessions),
         )
 
@@ -1061,9 +1040,8 @@ class DirectoryDaemon:
                 remaining=rec["remaining"] if rec["lease"] > 0 else None,
             )
         self._session_counter = itertools.count(max_sid + 1)
-        self.metrics.counter("net.restores").inc()
-        flight.record(
-            EV_NET_RESTORE, path=source,
+        emit(
+            self.metrics, ev.EV_NET_RESTORE, path=source,
             streams=len(self._streams), sessions=len(self._sessions),
         )
 

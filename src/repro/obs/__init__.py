@@ -15,8 +15,10 @@ The post-hoc pieces, all feeding one record stream:
 
 And the always-on telemetry plane (DESIGN.md §12):
 
-* :mod:`repro.obs.events` — the central event-code table (enforced at
-  run time by the recorder and statically by FlexLint FXL007);
+* :mod:`repro.obs.events` — the central event table and :func:`emit`,
+  the one call per telemetry fact: each entry declares the counters an
+  event bumps and whether it lands in the flight ring and the trace
+  (enforced at run time and statically by FlexLint FXL007);
 * :mod:`repro.obs.recorder` — the flight recorder: a fixed-capacity
   ring of compact events, dumped to a JSON artifact on any fault;
 * :mod:`repro.obs.snapshot` / :mod:`repro.obs.health` — periodic delta
@@ -57,7 +59,7 @@ from repro.obs.analysis import (
     longest_trace,
     stage_breakdown,
 )
-from repro.obs.events import EVENT_CODES, EventSpec, UnknownEventError
+from repro.obs.events import EVENT_CODES, EventSpec, UnknownEventError, emit
 from repro.obs.recorder import FlightEvent, FlightRecorder, load_dump
 from repro.obs.snapshot import DeltaSnapshot, SnapshotCollector
 from repro.obs.health import (
@@ -124,6 +126,7 @@ __all__ = [
     "build_traces",
     "critical_path",
     "default_tracing",
+    "emit",
     "find_bottleneck",
     "is_span_record",
     "load_dump",

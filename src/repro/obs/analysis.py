@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.obs import events as ev
 from repro.obs.export import is_span_record
 
 
@@ -251,9 +252,9 @@ def find_bottleneck(records: Iterable[dict]) -> Optional[BottleneckHint]:
 class FaultSummary:
     """Aggregate of the data plane's fault and recovery records.
 
-    Built from the non-span records the resilient pipeline emits:
-    injected transport faults (category ``fault``), per-attempt drain
-    failures and recoveries, steps lost after exhausted retries,
+    Built from the trace instants the resilient pipeline emits (see
+    :mod:`repro.obs.events`): injected transport faults, per-attempt
+    drain failures and recoveries, steps lost after exhausted retries,
     transport degradations, and abnormal stream ends.
     """
 
@@ -304,26 +305,26 @@ class FaultSummary:
 
 
 def fault_summary(records: Iterable[dict]) -> FaultSummary:
-    """Aggregate every fault/recovery record of one dump."""
+    """Aggregate every fault/recovery instant of one dump."""
     s = FaultSummary()
     for rec in records:
-        cat = rec.get("category")
-        if cat == "fault":
-            key = rec.get("name", "?")
+        code = rec.get("category")
+        if code == ev.EV_FAULT:
+            key = f"{rec.get('transport', '?')}.{rec.get('kind', '?')}"
             s.injected[key] = s.injected.get(key, 0) + 1
-        elif cat == "drain_fault":
+        elif code == ev.EV_DRAIN_FAULT:
             s.drain_faults += 1
-        elif cat == "drain_recovered":
+        elif code == ev.EV_DRAIN_RECOVERED:
             s.recovered += 1
-        elif cat == "drain_error":
+        elif code == ev.EV_DRAIN_ERROR:
             s.drain_errors += 1
-        elif cat == "step_lost":
+        elif code in (ev.EV_STEP_LOST, ev.EV_STEP_ABORTED):
             s.steps_lost += 1
-        elif cat == "transport_degraded":
+        elif code == ev.EV_DEGRADE:
             s.degradations.append((rec.get("src", "?"), rec.get("dst", "?")))
-        elif cat == "stream_failed":
-            s.stream_failures.append(rec.get("error", "?"))
-        elif cat == "drain_wedged":
+        elif code == ev.EV_STREAM_FAILED:
+            s.stream_failures.append(rec.get("reason", "?"))
+        elif code == ev.EV_DRAIN_WEDGED:
             s.wedged_drains += 1
     return s
 

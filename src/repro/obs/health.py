@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from repro.obs import recorder as flight
-from repro.obs.events import EV_HEALTH
+from repro.obs.events import EV_HEALTH, emit
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import DeltaSnapshot, SnapshotCollector
 
@@ -207,8 +206,8 @@ class StreamHealthModel:
         self.registry.gauge(P99_GAUGE, labels).set(report.p99_latency)
         previous = self.last_report
         if previous is None or previous.verdict is not report.verdict:
-            flight.record(
-                EV_HEALTH, stream=self.name, verdict=report.verdict.value,
+            emit(
+                None, EV_HEALTH, self.name, verdict=report.verdict.value,
                 reasons="; ".join(report.reasons),
             )
         self.last_report = report

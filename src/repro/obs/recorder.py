@@ -15,9 +15,9 @@ That is a flight recorder:
   sanitizer violations — appended under one tiny lock so concurrent
   producers never tear an event and eviction keeps strict
   ``(timestamp, seq)`` order;
-* every event code comes from the central table
-  (:mod:`repro.obs.events`); an unregistered code raises, and the
-  FlexLint FXL007 rule enforces the same at the call site statically;
+* events arrive through :func:`repro.obs.emit`, whose central table
+  (:mod:`repro.obs.events`) says which codes land here; an unregistered
+  code raises, and FlexLint FXL007 enforces the same statically;
 * on any fault, :func:`dump_on_fault` writes the last ``window_s``
   seconds of events plus a metrics snapshot (and, when available, the
   monitor's trace records) to a JSON artifact that
@@ -199,7 +199,9 @@ class FlightRecorder:
         if monitor is not None:
             doc["metrics"] = monitor.metrics.snapshot()
             if getattr(monitor, "keep_trace", False):
-                doc["records"] = [r.as_dict() for r in monitor.trace]
+                # list() copies the ring in one C call; iterating the live
+                # deque would raise if another thread appended meanwhile.
+                doc["records"] = [r.as_dict() for r in list(monitor.trace)]
         return doc
 
     def dump(
@@ -252,14 +254,6 @@ def get() -> Optional[FlightRecorder]:
             if _recorder is None:
                 _recorder = FlightRecorder()
     return _recorder
-
-
-def record(code: str, stream: str = "", **attrs: Any) -> Optional[FlightEvent]:
-    """Record one event on the process-wide recorder (no-op when off)."""
-    rec = get()
-    if rec is None:
-        return None
-    return rec.record(code, stream=stream, **attrs)
 
 
 def reset(capacity: int = DEFAULT_CAPACITY) -> FlightRecorder:

@@ -367,7 +367,7 @@ def run_chaos(
             report.invariant_violations.append(
                 "plug-in chain deployed but no read took the fused path"
             )
-    records = [r.as_dict() for r in state.monitor.trace]
+    records = [r.as_dict() for r in list(state.monitor.trace)]
     summary = fault_summary(records)
     if report.faults_injected > 0 and not summary.any():
         report.invariant_violations.append(
@@ -375,7 +375,7 @@ def run_chaos(
         )
     if report.recovered > 0 and summary.recovered == 0:
         report.invariant_violations.append(
-            "retries recovered steps but no drain_recovered trace records"
+            "retries recovered steps but no drain.recovered trace instants"
         )
     if trace_out:
         state.monitor.export_perfetto(trace_out)

@@ -25,13 +25,6 @@ import os
 from enum import Enum
 from typing import Optional, Sequence
 
-from repro.obs import recorder as flight
-from repro.obs.events import EV_FAULT
-from repro.obs.names import (
-    F_FAULTS_INJECTED,
-    M_FAULTS_INJECTED_TOTAL,
-    metric_name,
-)
 from repro.util import rng
 
 
@@ -221,21 +214,3 @@ def injector_from_env(environ=None) -> Optional[TransportFaultInjector]:
     env = os.environ if environ is None else environ
     return parse_fault_spec(env.get("FLEXIO_FAULTS"))
 
-
-def record_injected(monitor, transport: str, kind: FaultKind, nbytes: int = 0) -> None:
-    """Account one injected fault: counters + a trace record.
-
-    The record lands in the monitor's trace buffer (category ``fault``)
-    so injected faults show up next to the drain/transport spans in the
-    Perfetto export; the counters make recovery rates queryable without
-    a trace scan.
-    """
-    if monitor is None:
-        return
-    monitor.metrics.counter(metric_name(F_FAULTS_INJECTED, kind.value)).inc()
-    monitor.metrics.counter(M_FAULTS_INJECTED_TOTAL).inc()
-    monitor.record(
-        "fault", f"{transport}.{kind.value}", start=0.0, duration=0.0,
-        nbytes=nbytes, kind=kind.value, transport=transport,
-    )
-    flight.record(EV_FAULT, kind=kind.value, transport=transport, nbytes=nbytes)

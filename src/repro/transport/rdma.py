@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.machine.interconnect import Interconnect
+from repro.obs.events import EV_FAULT, emit
 from repro.obs.names import F_RDMA_REGCACHE, metric_name
 from repro.transport.buffers import (
     BufferLease,
@@ -46,7 +47,6 @@ from repro.transport.buffers import (
 from repro.transport.faults import (
     TransportFaultInjector,
     fault_exception,
-    record_injected,
 )
 
 #: Copy counts the RDMA paths report into ``transport.copies``: bulk
@@ -448,7 +448,7 @@ class RdmaChannel(Channel):
         kind = self.injector.next_fault()
         if kind is None:
             return
-        record_injected(self.monitor, "rdma", kind, nbytes=nbytes)
+        emit(self.monitor, EV_FAULT, kind=kind.value, transport="rdma", nbytes=nbytes)
         raise fault_exception(
             kind, f"injected {kind.value} on rdma send ({nbytes} B)"
         )

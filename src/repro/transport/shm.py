@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.analysis import sanitize
 from repro.machine.topology import NodeType
+from repro.obs.events import EV_FAULT, emit
 from repro.obs.names import F_SHM_POOL, F_SHM_QUEUE, metric_name
 from repro.transport.buffers import (
     COPIES_INLINE,
@@ -57,7 +58,6 @@ from repro.transport.faults import (
     TransportFaultInjector,
     TransportTimeout,
     fault_exception,
-    record_injected,
 )
 from repro.util import CACHE_LINE, align_up
 
@@ -509,7 +509,7 @@ class ShmChannel(Channel):
         kind = self.injector.next_fault()
         if kind is None:
             return
-        record_injected(self.monitor, "shm", kind, nbytes=total)
+        emit(self.monitor, EV_FAULT, kind=kind.value, transport="shm", nbytes=total)
         if kind is FaultKind.TORN_SEND and total > self._inline_max:
             with self.pool.lease(total) as lease:
                 torn = max(1, total // 2)

@@ -40,6 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.obs.events import EV_FAULT, emit
 from repro.transport.buffers import (
     Channel,
     Ownership,
@@ -54,7 +55,6 @@ from repro.transport.faults import (
     TransportFaultInjector,
     TransportTimeout,
     fault_exception,
-    record_injected,
 )
 
 __all__ = ["TcpChannel", "COPIES_TCP", "FRAME_PREFIX"]
@@ -208,7 +208,7 @@ class TcpChannel(Channel):
         kind = self.injector.next_fault()
         if kind is None:
             return None
-        record_injected(self.monitor, "tcp", kind, nbytes=total)
+        emit(self.monitor, EV_FAULT, kind=kind.value, transport="tcp", nbytes=total)
         if kind in (
             FaultKind.TORN_FRAME, FaultKind.DROPPED_FRAME, FaultKind.DELAYED_FRAME
         ):

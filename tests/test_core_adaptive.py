@@ -10,6 +10,7 @@ from repro.core.adaptive import (
     DCPlacementController,
 )
 from repro.core.plugins import annotation_plugin, sampling_plugin
+from repro.obs.events import EV_DC_MIGRATION
 
 
 def run_plugin(plugin, nbytes_shape=(1000, 7), times=1):
@@ -99,7 +100,7 @@ def test_controller_records_to_monitor():
     run_plugin(mgr.deploy(sampling_plugin(4), PluginSide.READER))
     ctl = DCPlacementController(mgr, AdaptivePolicy(hysteresis=1), monitor=mon)
     ctl.observe_step(0.5)
-    assert mon.aggregate("dc_migration").count == 1
+    assert [r.category for r in mon.trace] == [EV_DC_MIGRATION]
 
 
 def test_controller_input_validation():

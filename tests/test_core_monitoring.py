@@ -55,7 +55,7 @@ def test_extra_fields_survive_round_trip(tmp_path):
 def test_trace_disabled_still_aggregates():
     mon = PerfMonitor(keep_trace=False)
     mon.record("c", "n", 0.0, 1.0, nbytes=10)
-    assert mon.trace == []
+    assert len(mon.trace) == 0
     assert mon.aggregate("c").count == 1
 
 

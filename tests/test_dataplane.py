@@ -38,6 +38,7 @@ from repro.core.redistribution import (
     compute_plan,
     global_plan_cache,
 )
+from repro.obs.events import EV_HANDSHAKE
 
 STREAM_CONFIG = """
 <adios-config>
@@ -521,7 +522,7 @@ def test_handshake_messages_counter_matches_trace():
     from_trace = sum(
         dict(rec.extra).get("messages", 0)
         for rec in mon.trace
-        if rec.category == "handshake"
+        if rec.category == EV_HANDSHAKE
     )
     assert reader.handshake_messages() == from_trace
     assert reader.handshake_messages() > 0
@@ -550,7 +551,7 @@ def test_read_all_batching_single_round_per_step():
         steps += 1
     assert steps == 2
     mon = stream_registry._states["dp.batch"].monitor
-    rounds = [r for r in mon.trace if r.category == "handshake"]
+    rounds = [r for r in mon.trace if r.category == EV_HANDSHAKE]
     # One aggregated handshake round per step despite two variables.
     assert len(rounds) == 2
 

@@ -274,7 +274,7 @@ def test_fxl006_waiver_with_reason():
 
 
 # ---------------------------------------------------------------------------
-# FXL007 — record() event codes come from the central table
+# FXL007 — emit() event codes come from the central table
 # ---------------------------------------------------------------------------
 
 #: Fixture event table (decoupled from the real repro.obs.events).
@@ -283,10 +283,10 @@ EVENTS_CFG = LintConfig(event_codes=frozenset({"step.commit", "step.lost"}))
 
 def test_fxl007_flags_fstring_literal_typo_and_computed_names():
     code = """
-    def f(flight, kind):
-        flight.record(f"step.{kind}", stream="s")
-        flight.record("step.comit", stream="s")
-        flight.record("step." + kind, stream="s")
+    def f(mon, kind):
+        emit(mon, f"step.{kind}", "s")
+        emit(mon, "step.comit", "s")
+        obs.emit(mon, "step." + kind, "s")
     """
     findings = lint(code, config=EVENTS_CFG)
     assert rules_of(findings) == ["FXL007"]
@@ -299,28 +299,29 @@ def test_fxl007_flags_fstring_literal_typo_and_computed_names():
 
 def test_fxl007_accepts_registered_literals_and_constant_refs():
     code = """
-    def f(flight, mon, span, code):
-        flight.record("step.commit", stream="s")
-        flight.record(EV_STEP_LOST, stream="s")     # Name reference
-        mon.record(span.category, span.name)        # Attribute reference
-        flight.record(code, stream="s")             # Name: runtime-checked
+    def f(mon, events, code):
+        emit(mon, "step.commit", "s")
+        emit(mon, EV_STEP_LOST, "s")              # Name reference
+        emit(None, events.EV_STEP_LOST)           # Attribute reference
+        emit(mon, code, "s", step=1)              # Name: runtime-checked
+        mon.record("no.such.category", "n", 0.0, 1.0)  # measured record
     """
     assert lint(code, config=EVENTS_CFG) == []
 
 
 def test_fxl007_waiver_and_real_event_table():
     code = """
-    def f(flight):
-        flight.record("made.up")  # flexlint: ok(FXL007) fixture event
+    def f(mon):
+        emit(mon, "made.up")  # flexlint: ok(FXL007) fixture event
     """
     findings = lint(code, config=EVENTS_CFG)
     assert [f for f in findings if not f.waived] == []
     # Default config reads the real central table.
     from repro.obs.events import EVENT_CODES
 
-    real = lint('m.record("step.commit", stream="s")\n')
+    real = lint('emit(m, "step.commit", "s")\n')
     assert real == [] and "step.commit" in EVENT_CODES
-    assert rules_of(lint('m.record("no.such.event")\n')) == ["FXL007"]
+    assert rules_of(lint('emit(m, "no.such.event")\n')) == ["FXL007"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the observability layer: tracing, metrics, export, analysis."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -460,8 +461,10 @@ def test_live_server_serves_all_endpoints_over_http():
     from repro.obs.events import EV_STEP_COMMIT
     from repro.obs.live import LiveTelemetryServer, validate_exposition
 
+    from repro.obs import emit
+
     recorder.reset()
-    recorder.record(EV_STEP_COMMIT, stream="s1", step=0)
+    emit(None, EV_STEP_COMMIT, "s1", step=0)
     states = {"s1": _FakeState(_labeled_registry()),
               "s2": _FakeState(MetricsRegistry(), error="boom")}
     server = LiveTelemetryServer(states=lambda: states)
@@ -657,3 +660,128 @@ def test_metric_registry_matches_linted_vocabulary():
     assert cfg.metric_names is None  # linter defaults to the registry
     assert "transport.copies" in names.METRIC_NAMES
     assert all(root in names.FAMILIES for root in names.FAMILY_ROOTS)
+
+
+# ---------------------------------------------------------------------------
+# emit(): one call per telemetry fact
+# ---------------------------------------------------------------------------
+
+def _faulty_stream_monitor(name):
+    """A 20-step sync in-process stream under a 40% fault schedule."""
+    from repro.adios import RankContext
+    from repro.core import FlexIO, stream_registry
+    from repro.core.resilience import MovementFailed
+
+    cfg = """
+    <adios-config>
+      <adios-group name="g"><var name="x" type="float64" dimensions="4"/></adios-group>
+      <method group="g" method="FLEXPATH">
+        sync=true;retry_timeout=0.01;faults=rate=0.4,seed=5,kinds=timeout
+      </method>
+    </adios-config>
+    """
+    flexio = FlexIO.from_xml(cfg)
+    w = flexio.open_write("g", name, RankContext(0, 1))
+    for step in range(20):
+        w.write("x", np.full(4, float(step)))
+        try:
+            w.end_step()
+        except MovementFailed:
+            pass  # a lost step: the loss is the fault being observed
+    w.close()
+    mon = stream_registry._states[name].monitor
+    stream_registry.close_stream(name)
+    return mon
+
+
+def test_emitted_events_feed_no_latency_histograms():
+    from repro.obs.events import EVENT_CODES
+
+    mon = _faulty_stream_monitor("obs.emit.latency")
+    assert mon.metrics.counter("faults.injected.total").value > 0
+    latency = [h for h in mon.metrics.histograms() if h.name.startswith("latency.")]
+    assert latency, "the stream's spans and measure() points still time"
+    assert not [h.name for h in latency if h.name[len("latency."):] in EVENT_CODES]
+    # Every latency series observed a real duration, never a 0.0 stand-in.
+    assert [h.name for h in latency if h.max <= 0.0] == []
+
+
+def test_trace_instants_are_stamped_with_the_clock():
+    from repro.obs.events import EVENTS
+
+    mon = _faulty_stream_monitor("obs.emit.stamp")
+    instants = [r for r in mon.trace if r.category in EVENTS]
+    assert instants, "faults and drain failures land in the trace"
+    assert all(EVENTS[r.category].trace for r in instants)
+    assert [r for r in mon.trace if r.start == 0.0] == []
+    assert all(r.duration == 0.0 for r in instants)
+    assert not set(mon.aggregates) & set(EVENTS)
+
+
+def test_trace_buffer_keeps_only_the_newest_records():
+    from repro.core.monitoring import TRACE_CAPACITY
+
+    mon = PerfMonitor()
+    for i in range(TRACE_CAPACITY + 10):
+        mon.record("c", str(i), float(i), 1.0)
+    assert len(mon.trace) == TRACE_CAPACITY
+    assert mon.trace[0].name == "10"
+    assert mon.trace[-1].name == str(TRACE_CAPACITY + 9)
+    assert mon.aggregate("c").count == TRACE_CAPACITY + 10
+
+
+def test_trace_dumps_survive_concurrent_records(tmp_path):
+    from repro.core.monitoring import TRACE_CAPACITY
+    from repro.obs.recorder import FlightRecorder
+
+    mon = PerfMonitor()
+    for i in range(TRACE_CAPACITY):
+        mon.record("c", str(i), float(i), 1.0)  # full: appends now evict
+    stop = threading.Event()
+
+    def writer():
+        while not stop.is_set():
+            mon.record("w", "x", 1.0, 1.0)
+
+    t = threading.Thread(target=writer)
+    t.start()
+    try:
+        for _ in range(3):
+            doc = FlightRecorder().dump_dict(monitor=mon)
+            assert len(doc["records"]) == TRACE_CAPACITY
+            assert mon.dump(str(tmp_path / "t.jsonl")) == TRACE_CAPACITY
+    finally:
+        stop.set()
+        t.join()
+
+
+def test_emit_does_exactly_what_the_table_declares():
+    from repro.obs import emit, recorder
+    from repro.obs import events as ev
+    from repro.obs.events import EVENTS, UnknownEventError
+
+    ring = recorder.reset()
+    mon = PerfMonitor()
+    emit(mon, ev.EV_FAULT, kind="timeout", transport="shm", nbytes=8)
+    emit(mon, ev.EV_HANDSHAKE, "temp", nbytes=64, messages=3)
+    emit(mon, ev.EV_NET_STEP_FETCH, "s1", labels={"tenant": "t"}, step=0, nbytes=5)
+    snap = mon.metrics.snapshot()["counters"]
+    assert snap["faults.injected.timeout"] == 1 and snap["faults.injected.total"] == 1
+    assert snap["handshake.messages"] == 3 and snap["handshake.control_bytes"] == 64
+    assert snap['net.bytes_fetched{tenant="t"}'] == 5
+    # flight: fault and fetch land in the ring, the handshake round does not.
+    assert [e.code for e in ring.events()] == [ev.EV_FAULT, ev.EV_NET_STEP_FETCH]
+    # trace: fault and handshake are instants, the fetch is not.
+    assert [(r.category, r.name, r.bytes) for r in mon.trace] == [
+        (ev.EV_FAULT, "", 8), (ev.EV_HANDSHAKE, "temp", 64)]
+    assert dict(mon.trace[1].extra) == {"messages": 3}  # nbytes only once
+    # A bare registry takes the counters but keeps no trace.
+    reg = MetricsRegistry()
+    emit(reg, ev.EV_NET_DRAIN, peers=0, delay=0.0)
+    assert reg.counter("net.drains").value == 1
+    with pytest.raises(UnknownEventError, match="did you mean 'step.commit'"):
+        emit(mon, "step.comit")
+    # Every EV_* constant is exactly one table entry and vice versa.
+    consts = {v for k, v in vars(ev).items() if k.startswith("EV_")}
+    assert consts == set(EVENTS)
+    recorder.reset()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import recorder
+from repro.obs import emit, recorder
 from repro.obs.events import (
     EV_FLIGHT_DUMP,
     EV_RETRY,
@@ -217,13 +217,14 @@ def test_load_dump_rejects_non_flight_json(tmp_path):
 def test_env_disables_process_recorder(monkeypatch):
     monkeypatch.setenv("FLEXIO_FLIGHT", "0")
     assert recorder.get() is None
-    assert recorder.record(EV_STEP_COMMIT, stream="s") is None
+    emit(None, EV_STEP_COMMIT, "while-off")
     monkeypatch.setenv("FLEXIO_FLIGHT", "1")
     assert recorder.get() is not None
+    assert recorder.get().events(stream="while-off") == []
 
 
 def test_dump_on_fault_needs_a_configured_dir(tmp_path):
-    recorder.record(EV_STEP_LOST, stream="s", step=0)
+    emit(None, EV_STEP_LOST, "s", step=0)
     assert recorder.dump_on_fault("lost", stream="s") is None  # no dir
     recorder.set_flight_dir(str(tmp_path))
     path = recorder.dump_on_fault("lost", stream="s")
@@ -249,6 +250,6 @@ def test_dump_on_fault_caps_artifacts_and_sanitizes_names(tmp_path):
 
 def test_flight_dir_env_fallback(monkeypatch, tmp_path):
     monkeypatch.setenv("FLEXIO_FLIGHT_DIR", str(tmp_path))
-    recorder.record(EV_STEP_LOST, stream="s")
+    emit(None, EV_STEP_LOST, "s")
     assert recorder.dump_on_fault("lost", stream="s") is not None
     assert list(tmp_path.glob("flight-*.json"))
