@@ -51,10 +51,16 @@ class StepLost(AdiosError):
 
     Raised by reads/advance addressing a step the writer published but
     the data plane could not deliver (retries exhausted, or its
-    transaction aborted).  ``begin_step`` maps it to
-    :attr:`StepStatus.OtherError` and skips past the lost step, so
+    transaction aborted), or one a full step log discarded before the
+    reader got to it.  ``begin_step`` maps it to
+    :attr:`StepStatus.OtherError` and skips past the lost steps, so
     readers see a typed gap — never torn data, never a silent drop.
     """
+
+    def __init__(self, message: str = "", last: Optional[int] = None) -> None:
+        super().__init__(message)
+        #: The final step of the lost range; the reader resumes after it.
+        self.last = last
 
 
 class VariableNotFound(AdiosError, KeyError):

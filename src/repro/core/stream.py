@@ -28,19 +28,15 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.adios.api import (
-    EndOfStream,
     IoMethod,
     RankContext,
     ReadHandle,
     StepLost,
-    StepNotReady,
-    StreamFailure,
     VariableNotFound,
     WriteHandle,
     register_method,
@@ -91,6 +87,8 @@ from repro.core.redistribution import (
 # Unused here; perfbench/layers.py times handshakes by patching this name.
 from repro.core.redistribution import compute_plan  # noqa: F401
 from repro.core.monitoring import PerfMonitor
+# StreamStalled is re-exported: readers catch it from here.
+from repro.core.steplog import StepLog, StepState, StreamStalled  # noqa: F401
 from repro.core.plugins import (
     CodeletError,
     PluginManager,
@@ -117,21 +115,8 @@ from repro.transport.faults import (
 from repro.util import rng
 
 
-class StreamStalled(StepNotReady):
-    """No published step is available yet (writer still running)."""
-
-
 class StreamError(RuntimeError):
     """Protocol misuse on a stream."""
-
-
-class StepState(Enum):
-    """Delivery state of one published step."""
-
-    PENDING = "pending"      # sealed, still in the drain pipeline
-    COMMITTED = "committed"  # drained successfully; readable
-    LOST = "lost"            # retries exhausted; payload discarded
-    ABORTED = "aborted"      # its transaction aborted; payload discarded
 
 
 #: Graceful-degradation ladder: on repeated drain failure the stream falls
@@ -157,19 +142,17 @@ DRAINER_METHODS = frozenset({
     "_commit",
 })
 
-#: Attributes the drainer thread is allowed to mutate.  ``_published`` /
-#: ``_buffered_bytes`` / ``peak_buffered_bytes`` / ``backpressure_events``
-#: are guarded by ``_publish_lock``; ``_pending`` by ``_pending_lock``;
-#: ``_channel`` / ``active_transport`` / ``_consecutive_failures`` are
-#: drainer-private (the drainer is their only writer after pipeline start).
+#: Attributes the drainer thread is allowed to mutate.  ``_pending`` is
+#: guarded by ``_pending_lock``; ``backpressure_events`` has the drainer
+#: as its only writer; ``_channel`` / ``active_transport`` /
+#: ``_consecutive_failures`` are drainer-private (the drainer is their
+#: only writer after pipeline start).  Committed steps go to the stream's
+#: :class:`~repro.core.steplog.StepLog`, which does its own locking.
 DRAINER_SHARED_STATE = frozenset({
     "_pending",
-    "_published",
-    "_buffered_bytes",
     "_consecutive_failures",
     "_channel",
     "active_transport",
-    "peak_buffered_bytes",
     "backpressure_events",
 })
 
@@ -301,7 +284,7 @@ class _StepDrainer:
     The writer hands each :class:`_PublishedStep` to :meth:`submit`;
     once the queue holds ``queue_depth`` undrained steps the writer
     blocks (back-pressure, counted in ``dataplane.backpressure_waits``).
-    Every step ends up in the stream's published list exactly once —
+    Every step ends up in the stream's step log exactly once —
     COMMITTED when the drain succeeded, LOST/ABORTED when it did not —
     so readers never hang on a failed step and never see torn data.
     """
@@ -405,7 +388,7 @@ class _StepDrainer:
 
 
 class StreamState:
-    """Shared state of one named stream: buffered steps + membership."""
+    """Shared state of one named stream: its step log + membership."""
 
     def __init__(
         self,
@@ -418,26 +401,19 @@ class StreamState:
         self.hints = hints or StreamHints()
         if self.hints.trace:
             self.monitor.enable_tracing()
-        #: Times a publish exceeded the hinted buffering depth.
+        #: Times the unconsumed steps exceeded the hinted buffering depth.
         self.backpressure_events = 0
         #: Times the writer blocked on a full drain queue (async pipeline).
         self.backpressure_waits = 0
         self.plugins = PluginManager(self.monitor)
-        self._published: list[_PublishedStep] = []
-        self._publish_lock = sanitize.make_lock("stream.publish")
+        #: The only store of this stream's published steps.
+        self.log = StepLog(name, monitor=self.monitor)
         self._current: dict[int, ProcessGroupData] = {}
         self._step = 0
         self.writer_ranks: set[int] = set()
         self._advanced: set[int] = set()
         self._closed_ranks: set[int] = set()
         self.closed = False
-        #: Why the stream ended abnormally (writer death, lease expiry);
-        #: None for a clean close.
-        self.error: Optional[str] = None
-        #: High-water mark of buffered bytes (backpressure visibility).
-        self.peak_buffered_bytes = 0
-        #: Running byte total of the published steps (kept on commit).
-        self._buffered_bytes = 0
         self._drainer: Optional[_StepDrainer] = None
         self._channel = None
         #: Transport currently draining steps; degrades down the ladder
@@ -458,13 +434,24 @@ class StreamState:
         self._retry_rng = rng(zlib.crc32(name.encode("utf-8")))
         self._consecutive_failures = 0
 
+    @property
+    def error(self) -> Optional[str]:
+        """Why the stream ended abnormally (writer death, lease expiry);
+        None for a clean close."""
+        return self.log.error
+
+    @property
+    def peak_buffered_bytes(self) -> int:
+        """High-water mark of retained bytes (backpressure visibility)."""
+        return self.log.peak_nbytes
+
     # -- async pipeline -----------------------------------------------------
     @property
-    def published(self) -> list[_PublishedStep]:
-        """Committed steps; waits for in-flight drains first so callers
+    def published(self) -> StepLog:
+        """The step log; waits for in-flight drains first so callers
         observe the same ordering the synchronous data plane had."""
         self._quiesce()
-        return self._published
+        return self.log
 
     def _quiesce(self) -> None:
         if self._drainer is not None:
@@ -597,7 +584,7 @@ class StreamState:
         if sync and step.status is not StepState.COMMITTED:
             # Synchronous writes surface the loss to the writer (the
             # paper's error-reporting contract); the step is already in
-            # the published list as LOST/ABORTED so readers see the gap.
+            # the step log as LOST/ABORTED so readers see the gap.
             if step.status is StepState.ABORTED:
                 raise TransactionAborted(
                     f"step {step.step} of {self.name!r} aborted: {step.error}"
@@ -767,8 +754,7 @@ class StreamState:
             f"step {step.step} {step.status.value}",
             stream=self.name, monitor=mon,
         )
-        with self._publish_lock:
-            self._published.append(step)
+        self.log.append(step.step, step, 0, step.status, step.error)
 
     def _maybe_degrade(self) -> None:
         """Graceful degradation: fall down the transport ladder.
@@ -810,16 +796,12 @@ class StreamState:
     def _commit(self, step: _PublishedStep) -> None:
         step.status = StepState.COMMITTED
         nbytes = step.nbytes
-        with self._publish_lock:
-            self._published.append(step)
-            self._buffered_bytes += nbytes
-            self.peak_buffered_bytes = max(
-                self.peak_buffered_bytes, self._buffered_bytes
-            )
-            if len(self._published) > self.hints.buffer_steps:
-                # In the real transport the writer would stall here; in the
-                # in-process harness we surface it through monitoring.
-                self.backpressure_events += 1
+        self.log.append(step.step, step, nbytes)
+        if len(self.log) > self.hints.buffer_steps:
+            # More unconsumed steps than the hint allows: in the real
+            # transport the writer would stall here; in the in-process
+            # harness we surface it through monitoring.
+            self.backpressure_events += 1
         emit(self.monitor, ev.EV_STEP_COMMIT, self.name, step=step.step, nbytes=nbytes)
 
     def writer_close(self, rank: int) -> None:
@@ -833,6 +815,7 @@ class StreamState:
                 except (MovementFailed, TransactionAborted):
                     pass  # close never raises; the loss is already recorded
             self._quiesce()
+            self.log.eos = self._step
             self.closed = True
             self.shutdown_pipeline()
 
@@ -847,7 +830,7 @@ class StreamState:
         """
         if self.closed:
             return
-        self.error = reason
+        self.log.error = reason
         self._current = {}
         self._advanced = set()
         self.closed = True
@@ -859,28 +842,25 @@ class StreamState:
 
     # -- reader side --------------------------------------------------------
     def step_available(self, index: int) -> bool:
-        return index < len(self.published)
+        """True once step ``index`` was published (retained or not)."""
+        return index < self.published.head
 
-    def get_step(self, index: int) -> _PublishedStep:
-        if not self.step_available(index):
-            if not self.closed and self._directory is not None:
-                # A stall may really be a dead writer: run the failure
-                # detector before deciding what to tell the reader.
-                try:
-                    self._directory.reap()
-                except DirectoryError:
-                    pass
-            if self.closed:
-                if self.error is not None:
-                    raise StreamFailure(f"stream {self.name!r} failed: {self.error}")
-                raise EndOfStream(self.name)
-            raise StreamStalled(f"step {index} of {self.name!r} not yet published")
-        step = self._published[index]
-        if step.status is not StepState.COMMITTED:
-            raise StepLost(
-                f"step {index} of {self.name!r} {step.status.value}: {step.error}"
-            )
-        return step
+    def get_step(self, index: int, reader=None) -> _PublishedStep:
+        """Step ``index`` for ``reader`` (an attached handle, or None),
+        decided by :meth:`StepLog.get`; waits for in-flight drains first."""
+        log = self.published
+        try:
+            return log.get(index, reader)
+        except StreamStalled:
+            if self.closed or self._directory is None:
+                raise
+        # A stall may really be a dead writer: run the failure detector
+        # before deciding what to tell the reader.
+        try:
+            self._directory.reap()
+        except DirectoryError:
+            pass
+        return log.get(index, reader)
 
 
 def _same_shape(orig: WrittenVar, data) -> bool:
@@ -1068,13 +1048,20 @@ class FlexpathReadHandle(ReadHandle):
     Step-oriented usage: ``begin_step()`` returns
     :class:`~repro.adios.api.StepStatus` (``NotReady`` instead of a
     :class:`StreamStalled` raise), reads address the positioned step,
-    ``end_step()`` releases it.
+    ``end_step()`` releases it.  The handle is attached to the stream's
+    step log from open to :meth:`close`; moving to a step frees, for
+    this reader, every step before it.
     """
 
     def __init__(self, state: StreamState, ctx: RankContext) -> None:
         self._state = state
         self._ctx = ctx
         self._cursor = 0
+        #: The positioned step, held so a full log discarding it cannot
+        #: tear a step this reader is still reading.
+        self._current: Optional[_PublishedStep] = None
+        self._closed = False
+        state.log.attach(self, 0)
         # Handshake-protocol accounting per global-array variable: the
         # engine carries the caching state the XML hints select.
         self._hs_engines: dict[str, RedistributionEngine] = {}
@@ -1099,11 +1086,25 @@ class FlexpathReadHandle(ReadHandle):
         return self._cursor
 
     def _step(self) -> _PublishedStep:
-        return self._state.get_step(self._cursor)
+        step = self._current
+        if step is None or step.step != self._cursor:
+            self._goto(self._cursor)
+            step = self._current
+        return step
+
+    def _goto(self, index: int) -> None:
+        """Position on step ``index``; a loss moves the cursor to the end
+        of the lost range first, so the next advance skips past it."""
+        try:
+            self._current = self._state.get_step(index, reader=self)
+        except StepLost as exc:
+            self._cursor = exc.last
+            raise
+        self._cursor = index
 
     def _probe_step(self) -> None:
         # begin_step() readiness check for the handle's current cursor.
-        self._state.get_step(self._cursor)
+        self._goto(self._cursor)
 
     def available_vars(self):
         return self._step().var_names()
@@ -1298,35 +1299,15 @@ class FlexpathReadHandle(ReadHandle):
         return int(self._state.monitor.metrics.counter("handshake.messages").value)
 
     def _advance(self):
-        nxt = self._cursor + 1
-        state = self._state
-        if not state.step_available(nxt):
-            if not state.closed and state._directory is not None:
-                # Stalled? Let the failure detector rule out a dead writer.
-                try:
-                    state._directory.reap()
-                except DirectoryError:
-                    pass
-            if state.closed:
-                if state.error is not None:
-                    raise StreamFailure(
-                        f"stream {state.name!r} failed: {state.error}"
-                    )
-                raise EndOfStream(state.name)
-            raise StreamStalled(
-                f"step {nxt} of {state.name!r} not yet published"
-            )
-        # Move first, then surface a lost step: begin_step() marks it
-        # consumed, so the following begin_step() skips past the gap.
-        self._cursor = nxt
-        step = state._published[nxt]
-        if step.status is not StepState.COMMITTED:
-            raise StepLost(
-                f"step {nxt} of {state.name!r} {step.status.value}: {step.error}"
-            )
+        self._goto(self._cursor + 1)
 
     def close(self):
-        pass
+        """Detach from the step log: this reader stops pinning steps."""
+        if self._closed:
+            return
+        self._closed = True
+        self._current = None
+        self._state.log.detach(self)
 
 
 class FlexpathMethod(IoMethod):

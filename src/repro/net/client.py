@@ -37,6 +37,7 @@ network::
 from __future__ import annotations
 
 import itertools
+import secrets
 import socket
 import threading
 import time
@@ -51,7 +52,9 @@ from repro.adios.api import (
     EndOfStream,
     RankContext,
     ReadHandle,
+    StepLost,
     StepNotReady,
+    StreamFailure,
     VariableNotFound,
     WriteHandle,
     resolve_read_args,
@@ -155,6 +158,8 @@ def raise_wire_error(frame: Frame) -> None:
         raise admission_exception(kind, message)
     if kind == "protocol":
         raise ProtocolError(message)
+    if kind == "stream_failed":
+        raise StreamFailure(message)
     raise NetError(kind, message)
 
 
@@ -533,25 +538,31 @@ class RemoteClient(Client):
                     raise
                 self._sleep(0.02)
         stream_id = reply.record["stream_id"]
-        channel = self._attach(stream_id, mode)
+        reader_id = secrets.token_hex(8) if mode == "r" else ""
+        channel = self._attach(stream_id, mode, {"reader": reader_id})
         self._hb_streams.add(name)
         emit(None, ev.EV_NET_STREAM_OPEN, stream_id, mode=mode, tenant=self.tenant)
         if mode == "w":
             return NetWriteHandle(self, stream_id, channel, rank=rank, name=name)
         return NetReadHandle(self, stream_id, channel, name=name,
-                             pushdown=pushdown)
+                             pushdown=pushdown, reader_id=reader_id)
 
     def _attach(self, stream_id: str, role: str,
-                predicate: str = "") -> TcpChannel:
+                fields: Optional[dict] = None) -> TcpChannel:
+        """Dial the data port and ATTACH as ``role``; ``fields`` fills the
+        reader-role ATTACH fields (``predicate``, ``reader``, ``cursor``)."""
         channel = TcpChannel.connect(
             self.host, self.data_port, monitor=self.monitor,
             injector=self.faults, timeout=self.timeout,
         )
+        record = {
+            "session": self.session_id, "stream_id": stream_id, "role": role,
+            "predicate": "", "reader": "", "cursor": 0, **(fields or {}),
+        }
         try:
-            channel.sendv([encode_frame(MsgType.ATTACH, {
-                "session": self.session_id, "stream_id": stream_id, "role": role,
-                "predicate": predicate,
-            }, seq=next(self._frame_seq))], timeout=self.timeout)
+            channel.sendv([encode_frame(
+                MsgType.ATTACH, record, seq=next(self._frame_seq)
+            )], timeout=self.timeout)
             frame = decode_frame(channel.recv(timeout=self.timeout))
         except (TransportFault, ProtocolError, OSError):
             # A half-attached socket is a leak: the daemon holds the
@@ -569,7 +580,7 @@ class RemoteClient(Client):
 
     def _reattach(self, attempt: int, exc: Exception, stream_id: str,
                   role: str, old: TcpChannel,
-                  predicate: str = "") -> TcpChannel:
+                  fields: Optional[dict] = None) -> TcpChannel:
         """Data-path recovery: reconnect the control session (fresh
         socket + resume HELLO), then re-ATTACH the data channel.
 
@@ -582,7 +593,7 @@ class RemoteClient(Client):
             pass
         with self._lock:
             self._reconnect(attempt, exc)
-            return self._attach(stream_id, role, predicate=predicate)
+            return self._attach(stream_id, role, fields)
 
     def _close_stream(self, stream_id: str, name: str) -> None:
         self._hb_streams.discard(name)
@@ -765,7 +776,10 @@ class NetReadHandle(ReadHandle):
 
     ``begin_step`` polls the broker (NOT_READY maps to
     :attr:`~repro.adios.api.StepStatus.NotReady`, EOS to
-    :attr:`~repro.adios.api.StepStatus.EndOfStream`); global-array
+    :attr:`~repro.adios.api.StepStatus.EndOfStream`, STEP_LOST and a
+    failed stream to :attr:`~repro.adios.api.StepStatus.OtherError`).
+    The broker keeps this reader's cursor in the stream's step log under
+    ``reader_id``, across re-ATTACHes, until :meth:`close`; global-array
     reads run the fetched blocks through the same read engine as the
     in-process reader (:func:`~repro.core.redistribution.execute_read`,
     with a per-handle plan cache), so MxN redistribution and fused
@@ -774,11 +788,12 @@ class NetReadHandle(ReadHandle):
 
     def __init__(self, client: RemoteClient, stream_id: str,
                  channel: TcpChannel, name: str = "",
-                 pushdown: bool = False) -> None:
+                 pushdown: bool = False, reader_id: str = "") -> None:
         self._client = client
         self.stream_id = stream_id
         self.name = name or stream_id.rsplit("/", 1)[-1]
         self._channel = channel
+        self._reader_id = reader_id
         self._cursor = 0
         self._cache: dict[int, _CachedStep] = {}
         self._closed = False
@@ -818,6 +833,8 @@ class NetReadHandle(ReadHandle):
             return got
         if frame.msg_type is MsgType.NOT_READY:
             raise StepNotReady(f"step {step} of {self.stream_id} not yet published")
+        if frame.msg_type is MsgType.STEP_LOST:
+            raise StepLost(frame.record["reason"], last=int(frame.record["last"]))
         if frame.msg_type is MsgType.EOS:
             raise EndOfStream(self.stream_id)
         if frame.msg_type in (MsgType.ERROR, MsgType.RETRY_AFTER):
@@ -833,13 +850,17 @@ class NetReadHandle(ReadHandle):
         def reattach(attempt: int, exc: Exception) -> None:
             self._channel = self._client._reattach(
                 attempt, exc, self.stream_id, "r", self._channel,
-                predicate=self._attached_pred,
+                self._attach_fields(self._attached_pred),
             )
 
         return self._client._retry_exhausted(
             lambda: self._fetch_once(step),
             f"FETCH step {step}", on_retry=reattach,
         )
+
+    def _attach_fields(self, predicate: str) -> dict:
+        return {"predicate": predicate, "reader": self._reader_id,
+                "cursor": self._cursor}
 
     # -- predicate pushdown ------------------------------------------------
     def _pred_spec(self) -> str:
@@ -857,7 +878,9 @@ class NetReadHandle(ReadHandle):
         spec = self._pred_spec()
         if spec == self._attached_pred:
             return
-        channel = self._client._attach(self.stream_id, "r", predicate=spec)
+        channel = self._client._attach(
+            self.stream_id, "r", self._attach_fields(spec)
+        )
         old, self._channel = self._channel, channel
         self._attached_pred = spec
         self._pruning = parse_predicate(spec)
@@ -866,12 +889,21 @@ class NetReadHandle(ReadHandle):
         except (TransportFault, OSError):
             pass
 
+    def _goto(self, index: int) -> None:
+        """Position on step ``index``; a loss moves the cursor to the end
+        of the lost range first, so the next advance skips past it."""
+        try:
+            self._fetch(index)
+        except StepLost as exc:
+            self._cursor = exc.last
+            raise
+        self._cursor = index
+
     def _probe_step(self):
-        self._fetch(self._cursor)
+        self._goto(self._cursor)
 
     def _advance(self):
-        self._fetch(self._cursor + 1)
-        self._cursor += 1
+        self._goto(self._cursor + 1)
 
     # -- reads -------------------------------------------------------------
     def available_vars(self):
@@ -929,10 +961,18 @@ class NetReadHandle(ReadHandle):
         )
 
     def close(self):
+        """Detach from the broker's step log, then drop the channel."""
         if self._closed:
             return
         self._closed = True
         self._client._hb_streams.discard(self.name)
+        try:
+            self._channel.sendv([encode_frame(
+                MsgType.CLOSE, {"stream_id": self.stream_id},
+                seq=next(self._client._frame_seq),
+            )], timeout=self._client.timeout)
+        except (TransportFault, OSError):
+            pass  # the daemon keeps the cursor; capacity still bounds it
         self._channel.close()
 
 

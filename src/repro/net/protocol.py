@@ -77,8 +77,10 @@ MAGIC = 0xF1EC0107
 #: v3: ATTACH carries the reader chain's pushdown predicate spec and
 #: ``net.var`` carries per-block min/max statistics, so the broker can
 #: prune provably-dropped blocks from PUBLISH payloads (PR 10, fused
-#: analytics).
-PROTOCOL_VERSION = 3
+#: analytics).  v4: ATTACH names the reader and carries its cursor, so
+#: its place in the broker's step log survives a re-ATTACH; STEP_LOST
+#: reports steps discarded before the reader got to them.
+PROTOCOL_VERSION = 4
 
 #: magic u32, version u8, msg type u8, reserved u16, sequence u64.
 #: The sequence is per-connection and monotone; receivers use it to
@@ -104,7 +106,8 @@ class MsgType(enum.IntEnum):
     HEARTBEAT = 8      # writer lease refresh
     OPEN = 9           # open a named stream for write or read
     OPEN_REPLY = 10    # daemon → client: stream id + data port
-    CLOSE = 11         # writer closes a stream (end of stream)
+    CLOSE = 11         # writer closes a stream (end of stream); a reader
+                       # sends it on its data connection to detach
     BYE = 12           # client ends the session
     # data plane -------------------------------------------------------
     ATTACH = 16        # bind a data connection to (session, stream, role)
@@ -114,6 +117,7 @@ class MsgType(enum.IntEnum):
     NOT_READY = 20     # daemon → reader: step not yet published
     EOS = 21           # daemon → reader: stream ended (no more steps)
     RETRY_AFTER = 22   # daemon → peer: draining/restarting, come back later
+    STEP_LOST = 23     # daemon → reader: steps step..last are gone for good
 
 
 #: The shared format vocabulary — registered once, known to both sides.
@@ -168,7 +172,11 @@ _BODY_FORMATS: dict[MsgType, Format] = {
          # Reader-role pushdown: the serialized BlockPredicate of the
          # reader's compiled plug-in chain ("" = none — disables any
          # broker-side pruning for the stream while this peer is attached).
-         ("predicate", _S)],
+         ("predicate", _S),
+         # Reader role: a client-chosen reader id and the step it is
+         # positioned on — its cursor in the broker's step log, kept
+         # across re-ATTACHes of the same id.
+         ("reader", _S), ("cursor", _I)],
     ),
     MsgType.PUBLISH: PROTOCOL_REGISTRY.define(
         "net.publish", [("step", _I), ("count", _I), ("eos", _B), ("seq", _I)]
@@ -181,6 +189,9 @@ _BODY_FORMATS: dict[MsgType, Format] = {
     MsgType.EOS: PROTOCOL_REGISTRY.define("net.eos", [("step", _I)]),
     MsgType.RETRY_AFTER: PROTOCOL_REGISTRY.define(
         "net.retry_after", [("delay", _F), ("reason", _S)]
+    ),
+    MsgType.STEP_LOST: PROTOCOL_REGISTRY.define(
+        "net.step_lost", [("step", _I), ("last", _I), ("reason", _S)]
     ),
 }
 
@@ -335,8 +346,10 @@ def error_frame(kind: str, message: str) -> WireBuffer:
 # step (the raw net.var run), spilled via the codec's ``encode_into``.
 # ``None`` quotas ride as -1 sentinels (the codec has no null type).
 
-#: Bump on any incompatible checkpoint-record change.
-CKPT_VERSION = 1
+#: Bump on any incompatible checkpoint-record change.  v2: a stream
+#: record keeps its step log's end state (``failed`` + ``error``) and no
+#: longer carries a per-stream retention bound.
+CKPT_VERSION = 2
 
 CKPT_HEAD = PROTOCOL_REGISTRY.define(
     "net.ckpt.head", [("version", _I), ("wall", _F), ("server", _S)]
@@ -359,7 +372,8 @@ CKPT_REG = PROTOCOL_REGISTRY.define(
 CKPT_STREAM = PROTOCOL_REGISTRY.define(
     "net.ckpt.stream",
     [("stream_id", _S), ("tenant", _S), ("name", _S), ("last_step", _I),
-     ("eos_step", _I), ("last_seq", _I), ("closed", _B), ("retain", _I),
+     ("eos_step", _I), ("last_seq", _I), ("closed", _B), ("failed", _B),
+     ("error", _S),
      ("count", _I)],  # eos_step -1 = still open; count net.ckpt.step follow
 )
 CKPT_STEP = PROTOCOL_REGISTRY.define(

@@ -40,6 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.adios.api import EndOfStream, StepLost, StreamFailure
 from repro.core.directory import (
     AdmissionError,
     CoordinatorInfo,
@@ -49,6 +50,7 @@ from repro.core.directory import (
 )
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import CodeletError, combine_predicates, parse_predicate
+from repro.core.steplog import StepLog, StreamStalled
 from repro.net.protocol import (
     CKPT_HEAD,
     CKPT_REG,
@@ -84,9 +86,6 @@ _PREFIX = struct.Struct("<Q")
 #: Server banner sent in WELCOME frames.
 SERVER_VERSION = "flexio-directoryd/3"
 
-#: Bound on retained steps per hosted stream (oldest dropped first).
-DEFAULT_RETAIN_STEPS = 64
-
 #: Back-off the daemon suggests in RETRY_AFTER frames while draining.
 DEFAULT_RETRY_AFTER_S = 0.25
 
@@ -95,32 +94,37 @@ class HostedStream:
     """One named stream brokered by the daemon.
 
     Duck-typed like an in-process stream state (``monitor``, ``closed``,
-    ``error``, ``active_transport``) so the live-telemetry server and
-    :class:`~repro.obs.health.HealthBoard` sample it unchanged; the
+    ``error``, ``active_transport``, ``log``) so the live-telemetry server
+    and :class:`~repro.obs.health.HealthBoard` sample it unchanged; the
     ``tenant`` attribute labels every metric series.
     """
 
-    def __init__(self, tenant: str, name: str, retain_steps: int = DEFAULT_RETAIN_STEPS) -> None:
+    def __init__(self, tenant: str, name: str) -> None:
         self.tenant = tenant
         self.name = name
         self.stream_id = f"{tenant}/{name}"
         self.monitor = PerfMonitor()
         self.closed = False
-        self.error: Optional[str] = None
         self.active_transport = "tcp"
-        self.retain_steps = int(retain_steps)
-        #: step -> raw frame tail (the net.var run) + its var count.
-        self._steps: dict[int, tuple[int, bytes]] = {}
-        self.last_step = -1
         #: Highest publish sequence number applied; republished frames
         #: with seq <= last_seq are acknowledged but not re-stored, so a
         #: writer that resends after a lost OK never duplicates a step.
         self.last_seq = 0
-        self.eos_step: Optional[int] = None  # first step index past the end
         self._labels = {"tenant": tenant}
-        #: Attached-reader pushdown predicates, keyed per data connection
+        #: The only store of this stream's steps, each the PUBLISH frame's
+        #: ``(var count, raw net.var run)``, with one cursor per reader.
+        self.log = StepLog(self.stream_id, monitor=self.monitor, labels=self._labels)
+        #: Attached-reader pushdown predicates, keyed by reader
         #: (None = reader attached without one, which disables pruning).
-        self._reader_preds: dict[int, object] = {}
+        self._reader_preds: dict[object, object] = {}
+
+    @property
+    def error(self) -> Optional[str]:
+        return self.log.error
+
+    @property
+    def last_step(self) -> int:
+        return self.log.head - 1
 
     # ------------------------------------------------------------------
     def publish(self, step: int, count: int, payload: bytes, eos: bool,
@@ -134,43 +138,35 @@ class HostedStream:
                 )
                 return False
             self.last_seq = seq
-        self._steps[step] = (count, payload)
-        self.last_step = max(self.last_step, step)
+        self.log.append(step, (count, payload), len(payload))
         if eos:
-            self.eos_step = step + 1
-        while len(self._steps) > self.retain_steps:
-            del self._steps[min(self._steps)]
-        self.monitor.metrics.gauge(
-            "net.retained_steps", labels=self._labels
-        ).set(len(self._steps))
+            self.log.eos = step + 1
         emit(
             self.monitor, ev.EV_NET_STEP_PUBLISH, self.stream_id,
             labels=self._labels, step=step, nbytes=len(payload),
         )
         return True
 
-    def fetch(self, step: int) -> Optional[tuple[int, bytes]]:
-        got = self._steps.get(step)
-        if got is not None:
-            emit(
-                self.monitor, ev.EV_NET_STEP_FETCH, self.stream_id,
-                labels=self._labels, step=step, nbytes=len(got[1]),
-            )
+    def fetch(self, step: int, reader=None) -> tuple[int, bytes]:
+        """Step ``step``'s ``(count, payload)`` for ``reader``; raises the
+        typed reason from :meth:`StepLog.get` when there is none."""
+        got = self.log.get(step, reader)
+        emit(
+            self.monitor, ev.EV_NET_STEP_FETCH, self.stream_id,
+            labels=self._labels, step=step, nbytes=len(got[1]),
+        )
         return got
 
-    def ended(self, step: int) -> bool:
-        """True when ``step`` is past the writer's end of stream."""
-        if self.error is not None:
-            return True
-        return self.eos_step is not None and step >= self.eos_step
-
-    # -- reader predicate pushdown -------------------------------------
-    def register_reader(self, key: int, predicate) -> None:
-        """Track one attached reader's pushdown predicate (or None)."""
+    # -- attached readers ----------------------------------------------
+    def register_reader(self, key, predicate, cursor: int = 0) -> None:
+        """Attach one reader at step ``cursor``, with its pushdown
+        predicate (or None)."""
         self._reader_preds[key] = predicate
+        self.log.attach(key, cursor)
 
-    def drop_reader(self, key: int) -> None:
+    def drop_reader(self, key) -> None:
         self._reader_preds.pop(key, None)
+        self.log.detach(key)
 
     def prune_predicate(self):
         """The combined block predicate the broker may prune against.
@@ -188,7 +184,7 @@ class HostedStream:
 
     def fail(self, reason: str) -> None:
         """Directory eviction callback: lease expired → typed stream end."""
-        self.error = reason
+        self.log.error = reason
         self.closed = True
 
 
@@ -234,6 +230,9 @@ class _Session:
     #: HELLO to adopt this session instead of minting a fresh one.
     resume: str = ""
     streams: list[str] = field(default_factory=list)
+    #: ``(stream_id, reader key)`` of every reader this session attached;
+    #: a clean BYE detaches them all.
+    readers: set = field(default_factory=set)
 
 
 class DirectoryDaemon:
@@ -254,7 +253,6 @@ class DirectoryDaemon:
         tenants: Optional[list[TenantSpec]] = None,
         clock: Optional[Callable[[], float]] = None,
         lease_interval: float = 0.2,
-        retain_steps: int = DEFAULT_RETAIN_STEPS,
         telemetry: bool = True,
         checkpoint_path: Optional[str] = None,
         checkpoint_interval: float = 0.0,
@@ -269,7 +267,6 @@ class DirectoryDaemon:
         for spec in tenants if tenants is not None else [TenantSpec("public")]:
             self.directory.add_tenant(spec)
         self.lease_interval = lease_interval
-        self.retain_steps = retain_steps
         self.checkpoint_path = checkpoint_path
         self.checkpoint_interval = float(checkpoint_interval)
         #: Synchronous durability: checkpoint before acking each PUBLISH,
@@ -334,17 +331,26 @@ class DirectoryDaemon:
             loop.close()
             return
         self._ready.set()
-        tasks = [loop.create_task(self._reap_loop())]
+        loop.create_task(self._reap_loop())
         if self.checkpoint_path and self.checkpoint_interval > 0:
-            tasks.append(loop.create_task(self._checkpoint_loop()))
+            loop.create_task(self._checkpoint_loop())
         try:
             loop.run_forever()
         finally:
-            for task in tasks:
-                task.cancel()
             for server in self._servers:
                 server.close()
+            # Cancel and await every task still on the loop — the reap and
+            # checkpoint loops and the handlers of still-attached peers —
+            # so closing the loop leaves nothing pending.
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
+            for server in self._servers:
                 loop.run_until_complete(server.wait_closed())
+            loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
 
     async def _bind(self) -> None:
@@ -485,13 +491,19 @@ class DirectoryDaemon:
                     clean_bye = True
                     break
                 await self._dispatch_control(session, frame, writer)
-        except ConnectionError:
+        except (ConnectionError, asyncio.CancelledError):
+            # stop() cancels the handlers of still-attached peers; a
+            # cancelled handler ends normally, as a dropped peer does.
             pass
         finally:
             if session is not None:
                 if clean_bye:
                     self._sessions.pop(session.session_id, None)
                     self._resume.pop(session.resume, None)
+                    for stream_id, key in session.readers:
+                        stream = self._streams.get(stream_id)
+                        if stream is not None:
+                            stream.drop_reader(key)
                 emit(None, ev.EV_NET_DISCONNECT, tenant=session.tenant)
             writer.close()
 
@@ -599,7 +611,7 @@ class DirectoryDaemon:
                 if stream is None:
                     await self._send_error(writer, "unknown_stream", rec["stream_id"])
                     return
-                stream.eos_step = stream.last_step + 1
+                stream.log.eos = stream.log.head
                 stream.closed = True
                 try:
                     self.directory.unregister(stream.tenant, stream.name)
@@ -637,7 +649,7 @@ class DirectoryDaemon:
                     num_ranks=int(rec["num_ranks"]),
                 )
                 lease = rec["lease"] if rec["lease"] > 0 else None
-                stream = HostedStream(tenant, name, retain_steps=self.retain_steps)
+                stream = HostedStream(tenant, name)
                 info = CoordinatorInfo(
                     info.program, info.coordinator_rank, info.num_ranks, contact=stream
                 )
@@ -706,18 +718,22 @@ class DirectoryDaemon:
                 writer, encode_frame(MsgType.OK, {"detail": "attached"})
             )
             self._attached.add(writer)
-            reader_key = id(writer)
             try:
                 if role == "w":
                     await self._serve_writer(session, stream, reader, writer)
                 else:
-                    stream.register_reader(reader_key, predicate)
-                    await self._serve_reader(stream, reader, writer)
+                    # Keyed by the client's reader id, not this socket: a
+                    # dropped connection keeps the reader's place, and its
+                    # re-ATTACH (resume, predicate change) takes it back.
+                    key = (session.session_id, frame.record["reader"] or id(writer))
+                    stream.register_reader(key, predicate, int(frame.record["cursor"]))
+                    session.readers.add((stream.stream_id, key))
+                    await self._serve_reader(session, stream, key, reader, writer)
             finally:
-                if role != "w":
-                    stream.drop_reader(reader_key)
                 self._attached.discard(writer)
-        except ConnectionError:
+        except (ConnectionError, asyncio.CancelledError):
+            # stop() cancels the handlers of still-attached peers; a
+            # cancelled handler ends normally, as a dropped peer does.
             pass
         finally:
             writer.close()
@@ -778,7 +794,8 @@ class DirectoryDaemon:
                 )
             )
 
-    async def _serve_reader(self, stream: HostedStream, reader, writer) -> None:
+    async def _serve_reader(self, session: _Session, stream: HostedStream,
+                            key, reader, writer) -> None:
         while True:
             raw = await self._read_frame(reader)
             if raw is None:
@@ -788,29 +805,41 @@ class DirectoryDaemon:
             except ProtocolError as exc:
                 await self._send_error(writer, "protocol", str(exc))
                 return
+            if frame.msg_type is MsgType.CLOSE:
+                # The reader closed its handle: it stops pinning steps.
+                stream.drop_reader(key)
+                session.readers.discard((stream.stream_id, key))
+                return
             if frame.msg_type is not MsgType.FETCH:
                 await self._send_error(writer, "protocol", "reader must FETCH")
                 return
             step = int(frame.record["step"])
-            got = stream.fetch(step)
-            if got is not None:
-                count, payload = got
+            try:
+                count, payload = stream.fetch(step, key)
+            except StreamStalled:
+                if self._draining:
+                    # No new publishes will land here; tell the reader to
+                    # back off and retry against the restarted daemon.
+                    await self._send_retry_after(writer, "draining")
+                else:
+                    await self._write_frame(
+                        writer, encode_frame(MsgType.NOT_READY, {"step": step})
+                    )
+            except StepLost as exc:
+                await self._write_frame(writer, encode_frame(MsgType.STEP_LOST, {
+                    "step": step, "last": exc.last, "reason": str(exc),
+                }))
+            except StreamFailure as exc:
+                await self._send_error(writer, "stream_failed", str(exc))
+            except EndOfStream:
+                await self._write_frame(
+                    writer, encode_frame(MsgType.EOS, {"step": step})
+                )
+            else:
                 await self._write_frame(
                     writer,
                     encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
                     np.frombuffer(payload, dtype=np.uint8),
-                )
-            elif stream.ended(step):
-                await self._write_frame(
-                    writer, encode_frame(MsgType.EOS, {"step": step})
-                )
-            elif self._draining:
-                # No new publishes will land here; tell the reader to
-                # back off and retry against the restarted daemon.
-                await self._send_retry_after(writer, "draining")
-            else:
-                await self._write_frame(
-                    writer, encode_frame(MsgType.NOT_READY, {"step": step})
                 )
 
     # -- graceful drain ----------------------------------------------------
@@ -937,13 +966,15 @@ class DirectoryDaemon:
                     "remaining": 0.0 if remaining is None else remaining,
                 }))
         for stream in self._streams.values():
-            steps = sorted(stream._steps.items())
+            log = stream.log
+            steps = log.items()
             parts.append(encode_record(CKPT_STREAM, {
                 "stream_id": stream.stream_id, "tenant": stream.tenant,
                 "name": stream.name, "last_step": stream.last_step,
-                "eos_step": -1 if stream.eos_step is None else stream.eos_step,
+                "eos_step": -1 if log.eos is None else log.eos,
                 "last_seq": stream.last_seq, "closed": stream.closed,
-                "retain": stream.retain_steps, "count": len(steps),
+                "failed": log.error is not None, "error": log.error or "",
+                "count": len(steps),
             }))
             for step, (count, payload) in steps:
                 parts.append(encode_record(CKPT_STEP, {
@@ -1006,14 +1037,9 @@ class DirectoryDaemon:
             elif fmt.name == CKPT_REG.name:
                 regs.append(dict(rec))  # applied after streams exist
             elif fmt.name == CKPT_STREAM.name:
-                stream = HostedStream(
-                    rec["tenant"], rec["name"], retain_steps=int(rec["retain"])
-                )
-                stream.last_step = int(rec["last_step"])
+                stream = HostedStream(rec["tenant"], rec["name"])
+                log = stream.log
                 stream.last_seq = int(rec["last_seq"])
-                stream.eos_step = (
-                    None if rec["eos_step"] < 0 else int(rec["eos_step"])
-                )
                 stream.closed = bool(rec["closed"])
                 for _ in range(int(rec["count"])):
                     sfmt, srec, offset = decode_record(data, offset)
@@ -1021,10 +1047,16 @@ class DirectoryDaemon:
                         raise ProtocolError(
                             f"expected {CKPT_STEP.name}, got {sfmt.name}"
                         )
-                    stream._steps[int(srec["step"])] = (
-                        int(srec["count"]),
-                        np.asarray(srec["payload"], dtype=np.uint8).tobytes(),
+                    payload = np.asarray(srec["payload"], dtype=np.uint8).tobytes()
+                    log.append(
+                        int(srec["step"]), (int(srec["count"]), payload), len(payload)
                     )
+                # Steps every reader had passed were freed, not checkpointed.
+                log.head = max(log.head, int(rec["last_step"]) + 1)
+                if rec["eos_step"] >= 0:
+                    log.eos = int(rec["eos_step"])
+                if rec["failed"]:
+                    log.error = rec["error"]
                 self._streams[stream.stream_id] = stream
             else:
                 raise ProtocolError(f"unknown checkpoint record {fmt.name!r}")
@@ -1112,7 +1144,6 @@ def main(argv: Optional[list[str]] = None) -> int:
              "[,bytes_per_s=R][,max_leases=N]; repeatable",
     )
     parser.add_argument("--lease-interval", type=float, default=0.2)
-    parser.add_argument("--retain-steps", type=int, default=DEFAULT_RETAIN_STEPS)
     parser.add_argument("--no-telemetry", action="store_true")
     parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -1147,7 +1178,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         data_port=args.data_port,
         tenants=tenants,
         lease_interval=args.lease_interval,
-        retain_steps=args.retain_steps,
         telemetry=not args.no_telemetry,
         checkpoint_path=args.checkpoint,
         checkpoint_interval=args.checkpoint_interval,

@@ -12,6 +12,8 @@ declares
   :class:`Bump` naming the metric (from :mod:`repro.obs.names`), the
   attribute that gives the increment (``None`` = 1), and, for a metric
   family, the attribute naming the member;
+* **gauges** — the gauge series the event sets, each a :class:`Level`
+  naming the metric and the attribute that gives the value;
 * **flight** — whether the event lands in the always-on flight ring
   (:mod:`repro.obs.recorder`);
 * **trace** — whether it lands in the monitor's trace buffer as an
@@ -43,6 +45,14 @@ class Bump(NamedTuple):
     member: Optional[str] = None
 
 
+class Level(NamedTuple):
+    """One gauge an event sets."""
+
+    metric: str
+    #: Attribute whose value the gauge takes.
+    by: str
+
+
 class EventSpec(NamedTuple):
     """Declaration of one telemetry event and what emitting it does."""
 
@@ -51,6 +61,7 @@ class EventSpec(NamedTuple):
     counters: tuple = ()
     flight: bool = True
     trace: bool = False
+    gauges: tuple = ()
 
 
 class UnknownEventError(ValueError):
@@ -70,13 +81,13 @@ EVENTS: dict[str, EventSpec] = {}
 
 
 def _event(code: str, description: str, counters: tuple = (), *,
-           flight: bool = True, trace: bool = False) -> str:
+           flight: bool = True, trace: bool = False, gauges: tuple = ()) -> str:
     """Declare one event; returns its code for the ``EV_*`` constant."""
     if code in EVENTS:
         raise ValueError(f"duplicate event code {code!r}")
-    for bump in counters:
-        m.validate_metric(bump.metric)
-    EVENTS[code] = EventSpec(code, description, counters, flight, trace)
+    for series in counters + gauges:
+        m.validate_metric(series.metric)
+    EVENTS[code] = EventSpec(code, description, counters, flight, trace, gauges)
     return code
 
 
@@ -125,6 +136,16 @@ EV_HANDSHAKE = _event(
     "handshake.round", "one handshake-protocol accounting round",
     (Bump(m.M_HANDSHAKE_MESSAGES, "messages"),
      Bump(m.M_HANDSHAKE_CONTROL_BYTES, "nbytes")), flight=False, trace=True)
+# Step retention, both planes (core/steplog.py)
+EV_STEPLOG_LEVELS = _event(
+    "steplog.levels", "a step log's retained steps, bytes or reader lag changed",
+    flight=False,
+    gauges=(Level(m.M_STEPLOG_RETAINED_STEPS, "steps"),
+            Level(m.M_STEPLOG_RETAINED_BYTES, "nbytes"),
+            Level(m.M_STEPLOG_MAX_READER_LAG, "lag")))
+EV_STEPLOG_EVICT = _event(
+    "steplog.evict", "a full step log discarded its oldest step",
+    (Bump(m.M_STEPLOG_EVICTED_STEPS),), flight=False)
 # Transports, MxN redistribution, placement
 EV_FAULT = _event(
     "transport.fault", "the fault injector (or a real fault) hit one send",
@@ -202,8 +223,8 @@ def emit(monitor, code: str, stream: str = "", *, labels=None, **attrs: Any) -> 
     keep no trace (the daemon, the tenant directory); or None to reach
     the flight ring only.  ``stream`` names what the fact is about (the
     flight event's stream, the trace instant's name).  ``labels`` label
-    every counter the event bumps; ``attrs`` travel with the flight and
-    trace records and feed the counters' ``by``/``member`` attributes.
+    every counter and gauge the event touches; ``attrs`` travel with the
+    flight and trace records and feed the counters' and gauges' attributes.
     """
     spec = EVENTS.get(code)
     if spec is None:
@@ -215,6 +236,8 @@ def emit(monitor, code: str, stream: str = "", *, labels=None, **attrs: Any) -> 
             if bump.member is not None:
                 name = m.metric_name(name, attrs[bump.member])
             metrics.counter(name, labels).inc(1 if bump.by is None else attrs[bump.by])
+        for level in spec.gauges:
+            metrics.gauge(level.metric, labels).set(attrs[level.by])
         if spec.trace and getattr(monitor, "keep_trace", False):
             monitor.instant(code, stream, **attrs)
     if spec.flight:

@@ -321,6 +321,7 @@ class LiveTelemetryServer:
                 status = "closed"
             else:
                 status = "open"
+            log = getattr(state, "log", None)  # the stream's StepLog
             rows.append({
                 "stream": name,
                 "state": status,
@@ -330,6 +331,8 @@ class LiveTelemetryServer:
                 "p99_latency": r.p99_latency if r else 0.0,
                 "loss_rate": r.loss_rate if r else 0.0,
                 "queue_depth": r.queue_depth if r else 0.0,
+                "retained": len(log) if log is not None else 0,
+                "reader_lag": log.lag() if log is not None else 0,
                 "health": r.verdict.value if r else "healthy",
                 "reasons": list(r.reasons) if r else [],
             })

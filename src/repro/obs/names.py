@@ -115,6 +115,12 @@ M_TCP_MESSAGES_SENT = "tcp.messages_sent"
 M_TCP_CH_BYTES_SENT = "tcp.channel.bytes_sent"
 M_TCP_CH_MESSAGES_SENT = "tcp.channel.messages_sent"
 
+# Step retention, both planes (core/steplog.py)
+M_STEPLOG_RETAINED_STEPS = "steplog.retained_steps"
+M_STEPLOG_RETAINED_BYTES = "steplog.retained_bytes"
+M_STEPLOG_MAX_READER_LAG = "steplog.max_reader_lag"
+M_STEPLOG_EVICTED_STEPS = "steplog.evicted_steps"
+
 # Multi-tenant directory (core/directory.py)
 M_TENANT_ADMISSION_REJECTED = "tenant.admission.rejected"
 M_TENANT_BYTES = "tenant.bytes"
@@ -127,7 +133,6 @@ M_NET_BYTES_PUBLISHED = "net.bytes_published"
 M_NET_BYTES_FETCHED = "net.bytes_fetched"
 M_NET_SESSIONS = "net.sessions"
 M_NET_LEASE_EVICTIONS = "net.lease_evictions"
-M_NET_RETAINED_STEPS = "net.retained_steps"
 M_NET_DRAINS = "net.drains"
 M_NET_CHECKPOINTS = "net.checkpoints"
 M_NET_RESTORES = "net.restores"
@@ -187,6 +192,12 @@ _METRIC_SPECS = (
     MetricSpec(M_TCP_MESSAGES_SENT, "counter", "messages sent over the TCP channel"),
     MetricSpec(M_TCP_CH_BYTES_SENT, "gauge", "per-channel TCP bytes sent"),
     MetricSpec(M_TCP_CH_MESSAGES_SENT, "gauge", "per-channel TCP messages sent"),
+    MetricSpec(M_STEPLOG_RETAINED_STEPS, "gauge", "steps a stream's step log retains"),
+    MetricSpec(M_STEPLOG_RETAINED_BYTES, "gauge", "payload bytes of the retained steps"),
+    MetricSpec(M_STEPLOG_MAX_READER_LAG, "gauge",
+               "steps the slowest attached reader has yet to reach"),
+    MetricSpec(M_STEPLOG_EVICTED_STEPS, "counter",
+               "steps a full step log discarded (read or not)"),
     MetricSpec(M_TENANT_ADMISSION_REJECTED, "counter", "admission-control rejections"),
     MetricSpec(M_TENANT_BYTES, "counter", "per-tenant bytes accepted (labeled)"),
     MetricSpec(M_TENANT_STREAMS, "gauge", "per-tenant live streams (labeled)"),
@@ -196,7 +207,6 @@ _METRIC_SPECS = (
     MetricSpec(M_NET_BYTES_FETCHED, "counter", "payload bytes served to readers"),
     MetricSpec(M_NET_SESSIONS, "counter", "authenticated daemon sessions"),
     MetricSpec(M_NET_LEASE_EVICTIONS, "counter", "expired writer leases reaped"),
-    MetricSpec(M_NET_RETAINED_STEPS, "gauge", "steps retained by the broker"),
     MetricSpec(M_NET_DRAINS, "counter", "graceful daemon drains"),
     MetricSpec(M_NET_CHECKPOINTS, "counter", "daemon checkpoints written"),
     MetricSpec(M_NET_RESTORES, "counter", "daemon restores from checkpoint"),

@@ -347,7 +347,7 @@ def run_chaos(
             f"writer and reader disagree on lost steps: "
             f"writer={sorted(writer_lost)} reader={sorted(reader_lost)}"
         )
-    for s in state._published:
+    for s in state.log:
         if s.status not in (StepState.COMMITTED, StepState.LOST, StepState.ABORTED):
             report.invariant_violations.append(
                 f"step {s.step} left in state {s.status.value}"

@@ -2,7 +2,8 @@
 
 Scrapes the loopback telemetry server (:mod:`repro.obs.live`) and
 prints one row per stream — state, steps/s, MB/s, p99 step latency,
-loss rate, queue depth, and the SLO health verdict.
+loss rate, drain queue depth, steps retained in the step log, the
+slowest reader's lag, and the SLO health verdict.
 
 Usage::
 
@@ -30,7 +31,8 @@ from repro.util import fmt_bytes
 
 _COLUMNS = (
     f"{'stream':28s} {'state':7s} {'trans':9s} {'steps/s':>8s} "
-    f"{'MB/s':>9s} {'p99(ms)':>8s} {'loss%':>6s} {'queue':>5s} health"
+    f"{'MB/s':>9s} {'p99(ms)':>8s} {'loss%':>6s} {'queue':>5s} "
+    f"{'kept':>4s} {'lag':>5s} health"
 )
 
 
@@ -50,7 +52,8 @@ def render_table(rows: list[dict], out) -> None:
             f"{r['stream'][:28]:28s} {r['state']:7s} {r['transport'][:9]:9s} "
             f"{r['steps_per_s']:8.2f} {r['bytes_per_s'] / 1e6:9.2f} "
             f"{r['p99_latency'] * 1e3:8.2f} {r['loss_rate'] * 100:6.2f} "
-            f"{r['queue_depth']:5.0f} {r['health']}{reasons}",
+            f"{r['queue_depth']:5.0f} {r['retained']:4d} {r['reader_lag']:5d} "
+            f"{r['health']}{reasons}",
             file=out,
         )
 

@@ -591,7 +591,7 @@ def test_sync_advance_commits_before_returning():
                      global_shape=SHAPE)
         writer.end_step()
         # No quiesce needed: sync publish drained before returning.
-        assert len(state._published) == step + 1
+        assert len(state.log) == step + 1
     writer.close()
 
 
@@ -604,7 +604,7 @@ def test_end_step_sync_override():
     writer.write("temp", np.ones(SHAPE), box=BoundingBox((0, 0), SHAPE),
                  global_shape=SHAPE)
     writer.end_step(sync=True)
-    assert len(state._published) == 1
+    assert len(state.log) == 1
     writer.close()
 
 
@@ -667,8 +667,8 @@ def test_drain_error_marks_step_lost_not_committed():
     # The reader sees a typed gap (OtherError), never the undelivered data.
     assert reader.begin_step() is StepStatus.OtherError
     assert reader.begin_step() is StepStatus.EndOfStream
-    assert state._published[0].status is StepState.LOST
-    assert state._published[0].groups == {}  # payload discarded, not torn
+    assert state.log[0].status is StepState.LOST
+    assert state.log[0].groups == {}  # payload discarded, not torn
     assert state.monitor.metrics.counter("dataplane.drain.errors").value == 1
     assert state.monitor.metrics.counter("dataplane.drain.steps_lost").value == 1
 

@@ -13,6 +13,9 @@ Three tiers:
   OS process, clients in this one (the two-process acceptance shape).
 """
 
+import asyncio
+import contextlib
+import gc
 import os
 import socket
 import subprocess
@@ -80,6 +83,7 @@ ROUND_TRIP_CASES = [
     (MsgType.FETCH, {"step": 0}),
     (MsgType.NOT_READY, {"step": 9}),
     (MsgType.EOS, {"step": 4}),
+    (MsgType.STEP_LOST, {"step": 2, "last": 9, "reason": "discarded"}),
     (MsgType.RETRY_AFTER, {"delay": 0.25, "reason": "draining"}),
 ]
 
@@ -528,6 +532,86 @@ def test_checkpoint_restore_round_trip(daemon, tmp_path):
             r.close()
     finally:
         d2.stop()
+
+
+def test_failed_stream_reports_other_error_not_eos(daemon):
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("doomed", "w")
+        r = c.open("doomed", "r", timeout=2.0)
+        w.begin_step()
+        w.write("v", np.ones((2, 2)))
+        w.end_step()
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        r.end_step()
+        daemon._streams["acme/doomed"].fail("lease expired")
+        # Past the retained steps a failed stream is a typed failure,
+        # never a clean End-of-Stream.
+        assert r.begin_step(timeout=2.0) is StepStatus.OtherError
+        r.close()
+
+
+def test_checkpoint_keeps_stream_end_state(daemon, tmp_path):
+    with connect(uri(daemon), token="s3cret") as c:
+        for name in ("ckpt.failed", "ckpt.ended"):
+            w = c.open(name, "w")
+            w.begin_step()
+            w.write("v", np.full((2, 2), 7.0))
+            w.end_step()
+        w.close()  # ckpt.ended: End-of-Stream after step 0
+        daemon._streams["acme/ckpt.failed"].fail("lease expired")
+        path = daemon.checkpoint(str(tmp_path / "end.ckpt"))
+
+    d2 = DirectoryDaemon(
+        tenants=[TenantSpec("acme", token="s3cret", max_streams=2)],
+        telemetry=False, lease_interval=0.05,
+    )
+    d2.restore(path)
+    failed = d2._streams["acme/ckpt.failed"]
+    assert failed.closed and failed.error == "lease expired"
+    assert d2._streams["acme/ckpt.ended"].log.eos == 1
+    d2.start()
+    try:
+        with connect(uri(d2), token="s3cret") as c2:
+            for name, end in (("ckpt.failed", StepStatus.OtherError),
+                              ("ckpt.ended", StepStatus.EndOfStream)):
+                r = c2.open(name, "r", timeout=2.0)
+                assert r.begin_step(timeout=2.0) is StepStatus.OK
+                np.testing.assert_array_equal(
+                    r.read_block("v", 0), np.full((2, 2), 7.0)
+                )
+                r.end_step()
+                assert r.begin_step(timeout=2.0) is end
+                r.close()
+    finally:
+        d2.stop()
+
+
+def test_stop_with_attached_handles_leaves_no_pending_tasks():
+    d = DirectoryDaemon(
+        tenants=[TenantSpec("public")], telemetry=False, lease_interval=0.05
+    )
+    d.start()
+    loop = d._loop
+    loop_errors = []
+    loop.call_soon_threadsafe(
+        loop.set_exception_handler, lambda _loop, ctx: loop_errors.append(ctx)
+    )
+    c = connect(uri(d, tenant="public"), retry=RetryPolicy(max_retries=0))
+    w = c.open("attached", "w")
+    r = c.open("attached", "r", timeout=2.0)
+    w.begin_step()
+    w.write("v", np.ones((2, 2)))
+    w.end_step()
+    assert r.begin_step(timeout=2.0) is StepStatus.OK
+    d.stop()  # writer and reader data connections still attached
+    assert loop.is_closed()
+    assert not asyncio.all_tasks(loop)
+    gc.collect()
+    assert loop_errors == []
+    for handle in (r, w):
+        with contextlib.suppress(TransportFault):
+            handle.close()
+    c.close()
 
 
 def test_heartbeat_tick_counts_open_streams(daemon):
